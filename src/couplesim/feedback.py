@@ -15,24 +15,25 @@ Perceived violence per partner:
     on the absorbing states.
 Gender-blind feedback applies the average (v1+v2)/2 to both partners;
 gender-specific feedback applies v1 to partner 1 and v2 to partner 2.
+
+The exact engine runs a stack of N cells at once: every turn builds the N
+kernels, evolves the (N,16) distributions and updates the N parameter
+pairs as whole arrays, and one cell is a stack with N = 1. The Monte
+Carlo engine runs one cell on Python floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
-from .kernels import build_couple_kernel
+import numpy as np
+
+from .kernels import couple_kernels
 from .markov import delta_distribution, evolve
 from .montecarlo import estimate_distribution
-from .observables import (
-    AbsorptionBasins,
-    PathWeights,
-    gender_violence,
-    model1_basins,
-    model2_observables,
-    violent_marginals,
-)
+from .observables import AbsorptionBasins, PathWeights, read_fields
 from .rng import derive_seed
 from .states import CoupleState, Model, ModelParams, validate_param
 
@@ -83,56 +84,73 @@ class TurnRecord:
 FeedbackTrace = list[TurnRecord]
 
 
-def f_update(a: float, v: float, vc: float) -> float:
+def _where(condition, above, below):
+    """np.where on arrays; plain selection on Python floats, whose `**` stays libm's."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, above, below)
+    return above if condition else below
+
+
+def f_update(a, v, vc):
     """Aggressiveness polarization: grows above the threshold, decays below.
 
     a' = 1 - (1-a)^(1+v-vc) if v > vc, else a^(vc-v+1). Both branches fix
-    0 and 1 and leave a unchanged at v = vc.
+    0 and 1 and leave a unchanged at v = vc. Floats give a float; arrays
+    give an array, computed elementwise.
     """
-    validate_param(a, "a")
-    validate_param(v, "v")
-    validate_param(vc, "vc")
-    if v > vc:
-        return 1.0 - (1.0 - a) ** (1.0 + v - vc)
-    return a ** (vc - v + 1.0)
+    a, v, vc = validate_param(a, "a"), validate_param(v, "v"), validate_param(vc, "vc")
+    return _where(v > vc, 1.0 - (1.0 - a) ** (1.0 + v - vc), a ** (vc - v + 1.0))
 
 
-def g_update(supp: float, v: float, vc: float) -> float:
+def g_update(supp, v, vc):
     """Support erosion: shrinks above the threshold, recovers below.
 
-    s' = s^(v-vc+1) if v > vc, else 1 - (1-s)^(1+vc-v).
+    s' = s^(v-vc+1) if v > vc, else 1 - (1-s)^(1+vc-v). Floats give a
+    float; arrays give an array, computed elementwise.
     """
-    validate_param(supp, "supp")
-    validate_param(v, "v")
-    validate_param(vc, "vc")
-    if v > vc:
-        return supp ** (v - vc + 1.0)
-    return 1.0 - (1.0 - supp) ** (1.0 + vc - v)
+    supp, v, vc = validate_param(supp, "supp"), validate_param(v, "v"), validate_param(vc, "vc")
+    return _where(v > vc, supp ** (v - vc + 1.0), 1.0 - (1.0 - supp) ** (1.0 + vc - v))
 
 
-def _measure(
-    params: ModelParams,
-    config: FeedbackConfig,
-    start: CoupleState,
-    seed: int,
-) -> tuple[float, float, AbsorptionBasins | PathWeights]:
+def exact_fields(model: Model, p1, p2, start: CoupleState, steps: int) -> np.ndarray:
+    """(N, F) read_fields of N cells (length-N p1, p2) after `steps` exact steps from start."""
+    dist = np.tile(delta_distribution(start), (len(p1), 1))
+    return read_fields(model, evolve(dist, couple_kernels(model, p1, p2), steps), p1, p2)
+
+
+def feedback_turns(
+    model: Model, p1, p2, config: FeedbackConfig, start: CoupleState = (1, 0), master_seed: int = 0
+) -> Iterator[tuple]:
+    """Yield (p1, p2, fields) for turns 0..config.turns, updating in between.
+
+    With the exact engine p1 and p2 are length-N arrays, one entry per
+    cell of the stack, and fields is the (N, F) array of read_fields; no
+    seed is used. With the Monte Carlo engine p1 and p2 are floats, fields
+    is one row, and turn k measures on seed derive_seed(master_seed, k).
+    The v1, v2 columns are clipped to [0, 1] before they feed the update.
+    """
     if config.engine is Engine.EXACT:
-        kernel = build_couple_kernel(params)
-        dist = evolve(delta_distribution(start), kernel, config.inner_steps)
+        def measure(turn, p1, p2):
+            return exact_fields(model, p1, p2, start, config.inner_steps)
     else:
-        dist = estimate_distribution(
-            start, params, config.inner_steps, config.ensemble_size, seed
-        )
-    if params.model is Model.AGGRESSION:
-        gv = gender_violence(dist)
-        obs: AbsorptionBasins | PathWeights = model1_basins(dist)
-    else:
-        gv = violent_marginals(dist)
-        obs = model2_observables(dist, params.p1, params.p2)
-    # the unrenormalized evolution can leave v outside [0,1] by ~1e-16
-    v1 = min(max(gv.v1, 0.0), 1.0)
-    v2 = min(max(gv.v2, 0.0), 1.0)
-    return v1, v2, obs
+        def measure(turn, p1, p2):
+            dist = estimate_distribution(
+                start, ModelParams(model, p1, p2), config.inner_steps,
+                config.ensemble_size, derive_seed(master_seed, turn),
+            )
+            return read_fields(model, dist, p1, p2)[0]
+    update = f_update if model is Model.AGGRESSION else g_update
+    for turn in range(config.turns + 1):
+        fields = measure(turn, p1, p2)
+        # the unrenormalized evolution can leave v outside [0,1] by ~1e-16
+        fields[..., -2:] = np.clip(fields[..., -2:], 0.0, 1.0)
+        yield p1, p2, fields
+        if turn == config.turns:
+            return
+        v1, v2 = fields[..., -2], fields[..., -1]
+        if config.gender_mode is GenderMode.BLIND:
+            v1 = v2 = (v1 + v2) / 2.0
+        p1, p2 = update(p1, v1, config.vc), update(p2, v2, config.vc)
 
 
 def self_consistent_run(
@@ -146,25 +164,18 @@ def self_consistent_run(
     Record k holds the parameters after k updates together with the
     violence and observables they generate, so the trace has turns + 1
     records and the last one is the settled measurement. With the exact
-    engine the whole run is deterministic; with the Monte Carlo engine
-    turn k measures on seed derive_seed(master_seed, k).
+    engine the whole run is deterministic and is a stack of one cell; with
+    the Monte Carlo engine turn k measures on seed derive_seed(master_seed, k).
     """
-    update = f_update if init_params.model is Model.AGGRESSION else g_update
-    params = init_params
+    model, p1, p2 = init_params.model, init_params.p1, init_params.p2
+    if config.engine is Engine.EXACT:
+        p1, p2 = np.array([p1]), np.array([p2])
+    kind = AbsorptionBasins if model is Model.AGGRESSION else PathWeights
     trace: FeedbackTrace = []
-    for turn in range(config.turns + 1):
-        v1, v2, obs = _measure(params, config, start, derive_seed(master_seed, turn))
-        trace.append(
-            TurnRecord(turn=turn, p1=params.p1, p2=params.p2, v1=v1, v2=v2, observables=obs)
-        )
-        if turn == config.turns:
-            break
-        if config.gender_mode is GenderMode.BLIND:
-            v = (v1 + v2) / 2.0
-            new_p1 = update(params.p1, v, config.vc)
-            new_p2 = update(params.p2, v, config.vc)
-        else:
-            new_p1 = update(params.p1, v1, config.vc)
-            new_p2 = update(params.p2, v2, config.vc)
-        params = replace(params, p1=new_p1, p2=new_p2)
+    for turn, (p1, p2, fields) in enumerate(
+        feedback_turns(model, p1, p2, config, start, master_seed)
+    ):
+        *obs, v1, v2 = (float(x) for x in np.ravel(fields))
+        p1_now, p2_now = float(np.ravel(p1)[0]), float(np.ravel(p2)[0])
+        trace.append(TurnRecord(turn, p1_now, p2_now, v1, v2, kind(*obs)))
     return trace

@@ -24,6 +24,7 @@ from .states import (
     CoupleState,
     Model,
     ModelParams,
+    decode,
     validate_param,
     validate_state,
 )
@@ -134,11 +135,21 @@ class CoupleKernel:
         self.matrix.setflags(write=False)
 
 
+def couple_kernels(model: Model, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """(N,16,16) product kernels of N cells with parameters p1[n], p2[n].
+
+    Partner 1 sees partner 2's old state and vice versa. All N tables come
+    from one broadcast of the affine const + slope * p tensors.
+    """
+    const, slope = _AFFINE[model]
+    k1 = const + slope * validate_param(np.asarray(p1, dtype=float), "p1")[:, None, None, None]
+    k2 = const + slope * validate_param(np.asarray(p2, dtype=float), "p2")[:, None, None, None]
+    return np.einsum("nabi,nbaj->nabij", k1, k2).reshape(-1, 16, 16)
+
+
 def build_couple_kernel(params: ModelParams) -> CoupleKernel:
-    """Product kernel: partner 1 sees partner 2's old state and vice versa."""
-    k1 = individual_kernel(params.model, params.p1)
-    k2 = individual_kernel(params.model, params.p2)
-    matrix = np.einsum("abi,baj->abij", k1, k2).reshape(16, 16)
+    """The couple kernel of one cell: couple_kernels with N = 1."""
+    matrix = couple_kernels(params.model, [params.p1], [params.p2])[0]
     return CoupleKernel(params=params, matrix=matrix)
 
 
@@ -151,7 +162,7 @@ def absorbing_states(kernel: CoupleKernel, tol: float = 1e-12) -> set[CoupleStat
     ever enter them (see garden_of_eden_states).
     """
     diag = np.diag(kernel.matrix)
-    return {_state(i) for i in range(16) if diag[i] >= 1.0 - tol}
+    return {decode(i) for i in range(16) if diag[i] >= 1.0 - tol}
 
 
 def garden_of_eden_states(
@@ -174,12 +185,8 @@ def garden_of_eden_states(
         if column.max() <= tol:
             if exclude_self_loops and self_prob > tol:
                 continue
-            found.add(_state(j))
+            found.add(decode(j))
     return found
-
-
-def _state(index: int) -> CoupleState:
-    return (index // 4 - 1, index % 4 - 1)
 
 
 def iter_individual_entries(
@@ -203,6 +210,6 @@ def iter_couple_entries(
         for y in range(16):
             p = kernel.matrix[x, y]
             if p != 0.0:
-                s1, s2 = _state(x)
-                t1, t2 = _state(y)
+                s1, s2 = decode(x)
+                t1, t2 = decode(y)
                 yield s1, s2, t1, t2, float(p)

@@ -1,4 +1,9 @@
-"""Exact evolution of the 16-component couple distribution."""
+"""Exact evolution of the 16-component couple distribution.
+
+A distribution is a length-16 vector, or an (N,16) stack of N cells that
+evolve under an (N,16,16) stack of kernels (see kernels.couple_kernels);
+a single cell is the same computation with N = 1.
+"""
 
 from __future__ import annotations
 
@@ -15,40 +20,37 @@ def delta_distribution(state: CoupleState) -> np.ndarray:
     return dist
 
 
-def step(dist: np.ndarray, kernel: CoupleKernel) -> np.ndarray:
-    """One application of the transition matrix: p'(y) = sum_x M[x,y] p(x)."""
-    return dist @ kernel.matrix
+def step(dist: np.ndarray, kernel: CoupleKernel | np.ndarray) -> np.ndarray:
+    """One application of the transition matrix: p'(y) = sum_x M[x,y] p(x).
+
+    kernel is a CoupleKernel, a 16x16 matrix or an (N,16,16) stack matching
+    an (N,16) dist. Each cell is one vector-matrix product whatever N is,
+    so a cell's result does not depend on the stack it sits in.
+    """
+    matrix = kernel.matrix if isinstance(kernel, CoupleKernel) else kernel
+    return (dist[..., None, :] @ matrix)[..., 0, :]
 
 
-def evolve(
-    dist: np.ndarray,
-    kernel: CoupleKernel,
-    steps: int,
-    convergence_tol: float | None = None,
-) -> np.ndarray:
+def evolve(dist: np.ndarray, kernel: CoupleKernel | np.ndarray, steps: int) -> np.ndarray:
     """Apply `step` `steps` times; steps=0 returns the input unchanged.
 
     No per-step renormalization is performed, so numerical drift stays
-    visible. With convergence_tol set, iteration stops early once the L1
-    change of one step falls below it.
+    visible.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     current = np.array(dist, dtype=float)
     for _ in range(steps):
-        nxt = current @ kernel.matrix
-        if convergence_tol is not None and np.abs(nxt - current).sum() < convergence_tol:
-            return nxt
-        current = nxt
+        current = step(current, kernel)
     return current
 
 
-def evolve_trace(dist: np.ndarray, kernel: CoupleKernel, steps: int) -> np.ndarray:
+def evolve_trace(dist: np.ndarray, kernel: CoupleKernel | np.ndarray, steps: int) -> np.ndarray:
     """(steps+1) x 16 array of the distribution at t = 0..steps."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    trace = np.empty((steps + 1, 16))
+    trace = np.empty((steps + 1,) + np.shape(dist))
     trace[0] = dist
     for t in range(steps):
-        trace[t + 1] = trace[t] @ kernel.matrix
+        trace[t + 1] = step(trace[t], kernel)
     return trace

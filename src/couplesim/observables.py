@@ -12,11 +12,11 @@ supports; both are reported as defined, without renormalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .states import STATES, encode
+from .states import Model, encode
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,7 @@ class AbsorptionBasins:
     female_violence: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "normal": self.normal,
-            "separation": self.separation,
-            "male_violence": self.male_violence,
-            "female_violence": self.female_violence,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -57,63 +52,65 @@ class PathWeights:
     separation: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "normal": self.normal,
-            "threshold": self.threshold,
-            "recovering": self.recovering,
-            "violence_cycle": self.violence_cycle,
-            "mutual_violence": self.mutual_violence,
-            "separation": self.separation,
-        }
+        return asdict(self)
 
 
-def _p(dist: np.ndarray, s1: int, s2: int) -> float:
-    return float(dist[encode((s1, s2))])
+# The columns of read_fields: each model's observables, then v1 and v2.
+MODEL1_FIELDS = (*(f.name for f in fields(AbsorptionBasins)), "v1", "v2")
+MODEL2_FIELDS = (*(f.name for f in fields(PathWeights)), "v1", "v2")
+
+
+def read_fields(model: Model, dist: np.ndarray, p1=0.0, p2=0.0) -> np.ndarray:
+    """(N, F) fields of an (N,16) stack of distributions; a (16,) one gives N = 1.
+
+    Columns follow MODEL1_FIELDS or MODEL2_FIELDS. p1 and p2 (length N, or
+    floats for a (16,) dist) are the supports that split P(2,2) into M and
+    S; the aggression model ignores them. Every sum runs left to right as
+    written. A (16,) dist is read as Python floats, which gives the same
+    values as a length-1 stack at a fraction of the cost.
+    """
+    by_state = np.reshape(dist, (-1, 16)).T
+    if np.ndim(dist) == 1:
+        by_state = by_state[:, 0].tolist()
+
+    def p(s1: int, s2: int) -> np.ndarray | float:
+        return by_state[encode((s1, s2))]
+
+    if model is Model.AGGRESSION:
+        columns = (p(0, 0), p(2, 2), p(2, -1), p(-1, 2), p(2, -1) + p(2, 2), p(-1, 2) + p(2, 2))
+    else:
+        columns = (
+            p(0, 0),
+            p(0, 1) + p(1, 0) + p(1, 1),
+            p(-1, 0) + p(0, -1) + p(-1, 1) + p(1, -1) + p(-1, -1) - (p(-1, 2) + p(2, -1)),
+            p(-1, 2) + p(2, -1) + p(0, 2) + p(2, 0),
+            p(2, 2) * (1.0 - p1) * (1.0 - p2),
+            p(2, 2) * p1 * p2,
+            p(2, -1) + p(2, 0) + p(2, 1) + p(2, 2),
+            p(-1, 2) + p(0, 2) + p(1, 2) + p(2, 2),
+        )
+    return np.array(columns).T.reshape(-1, len(columns))
+
+
+def _row(model: Model, dist: np.ndarray, p1: float = 0.0, p2: float = 0.0) -> list[float]:
+    return [float(x) for x in read_fields(model, dist, p1, p2)[0]]
 
 
 def model1_basins(dist: np.ndarray) -> AbsorptionBasins:
     """Read the four absorbing-state components of a distribution."""
-    return AbsorptionBasins(
-        normal=_p(dist, 0, 0),
-        separation=_p(dist, 2, 2),
-        male_violence=_p(dist, 2, -1),
-        female_violence=_p(dist, -1, 2),
-    )
+    return AbsorptionBasins(*_row(Model.AGGRESSION, dist)[:4])
 
 
 def gender_violence(dist: np.ndarray) -> GenderViolence:
     """v1 = P(2,-1) + P(2,2) and v2 = P(-1,2) + P(2,2)."""
-    return GenderViolence(
-        v1=_p(dist, 2, -1) + _p(dist, 2, 2),
-        v2=_p(dist, -1, 2) + _p(dist, 2, 2),
-    )
+    return GenderViolence(*_row(Model.AGGRESSION, dist)[4:])
 
 
 def violent_marginals(dist: np.ndarray) -> GenderViolence:
     """Probability that each partner is violent: the row/column-2 marginals."""
-    return GenderViolence(
-        v1=sum(_p(dist, 2, s2) for s2 in STATES),
-        v2=sum(_p(dist, s1, 2) for s1 in STATES),
-    )
+    return GenderViolence(*_row(Model.SUPPORT, dist)[6:])
 
 
 def model2_observables(dist: np.ndarray, supp1: float, supp2: float) -> PathWeights:
     """Path weights of the support model at supports (supp1, supp2)."""
-    p22 = _p(dist, 2, 2)
-    return PathWeights(
-        normal=_p(dist, 0, 0),
-        threshold=_p(dist, 0, 1) + _p(dist, 1, 0) + _p(dist, 1, 1),
-        recovering=(
-            _p(dist, -1, 0)
-            + _p(dist, 0, -1)
-            + _p(dist, -1, 1)
-            + _p(dist, 1, -1)
-            + _p(dist, -1, -1)
-            - (_p(dist, -1, 2) + _p(dist, 2, -1))
-        ),
-        violence_cycle=(
-            _p(dist, -1, 2) + _p(dist, 2, -1) + _p(dist, 0, 2) + _p(dist, 2, 0)
-        ),
-        mutual_violence=p22 * (1.0 - supp1) * (1.0 - supp2),
-        separation=p22 * supp1 * supp2,
-    )
+    return PathWeights(*_row(Model.SUPPORT, dist, supp1, supp2)[:6])

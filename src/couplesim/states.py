@@ -33,7 +33,12 @@ def validate_state(value: int) -> int:
     return value
 
 
-def validate_param(value: float, name: str = "param") -> float:
+def validate_param(value, name: str = "param"):
+    """Return value if it lies in [0, 1], else raise; arrays are checked elementwise."""
+    if getattr(value, "ndim", 0):
+        if not ((0.0 <= value) & (value <= 1.0)).all():
+            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        return value
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return float(value)

@@ -1,11 +1,16 @@
 """Parameter-plane scans over (p1, p2) in [0,1]^2.
 
-Every cell of a sweep is an independent work item with its own derived
-seed, and results are merged positionally, so the output is identical for
-any worker count. With the exact engine a run is deterministic, so
-averaging repeated runs per cell would reproduce a single run; the sweep
-therefore computes one run per cell in that case regardless of
-runs_per_cell.
+Exact cells run in-process as stacks: the grid is cut, in row-major cell
+order, into stacks of at most STACK_CELLS cells, and each stack runs every
+turn of the feedback loop (or the plain evolution) as whole arrays. The
+exact engine is deterministic and derives no seeds; averaging repeated
+runs would reproduce a single run, so it computes one run per cell
+regardless of runs_per_cell. A cell's values do not depend on the stack
+it falls in.
+
+With the Monte Carlo engine every cell is an independent work item with
+its own derived seed, and results are merged positionally, so the output
+is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -16,18 +21,15 @@ from enum import Enum
 
 import numpy as np
 
-from .feedback import Engine, FeedbackConfig, GenderMode, self_consistent_run
-from .kernels import build_couple_kernel
-from .markov import delta_distribution, evolve
+from .feedback import Engine, FeedbackConfig, GenderMode, exact_fields, feedback_turns
 from .montecarlo import estimate_distribution
-from .observables import (
-    gender_violence,
-    model1_basins,
-    model2_observables,
-    violent_marginals,
-)
+from .observables import MODEL1_FIELDS, MODEL2_FIELDS, read_fields
 from .rng import derive_seed
 from .states import CoupleState, Model, ModelParams, encode
+
+# Cells per exact stack. Every turn holds an (N,16,16) kernel stack, 2 KB a
+# cell, so the bound keeps a full grid's memory near that of one stack.
+STACK_CELLS = 256
 
 
 class Scenario(Enum):
@@ -53,22 +55,6 @@ class Scenario(Enum):
         if self in (Scenario.MODEL1_SC_GENDER, Scenario.MODEL2_SC_GENDER):
             return GenderMode.SPECIFIC
         return GenderMode.BLIND
-
-
-MODEL1_FIELDS = ("normal", "separation", "male_violence", "female_violence", "v1", "v2")
-MODEL2_FIELDS = (
-    "normal",
-    "threshold",
-    "recovering",
-    "violence_cycle",
-    "mutual_violence",
-    "separation",
-    "v1",
-    "v2",
-)
-# v1/v2 are reported but never compete for a cell's dominant observable.
-MODEL1_DOMINANCE = MODEL1_FIELDS[:4]
-MODEL2_DOMINANCE = MODEL2_FIELDS[:6]
 
 
 @dataclass(frozen=True)
@@ -97,13 +83,7 @@ class SweepSpec:
         if self.plain_steps is not None and self.plain_steps < 0:
             raise ValueError(f"plain_steps must be >= 0, got {self.plain_steps}")
         encode(self.start)
-        FeedbackConfig(  # validates vc / inner_steps / turns / ensemble_size
-            vc=self.vc,
-            inner_steps=self.inner_steps,
-            turns=self.turns,
-            engine=self.engine,
-            ensemble_size=self.ensemble_size,
-        )
+        self.feedback_config()  # validates vc / inner_steps / turns / ensemble_size
 
     @property
     def grid(self) -> np.ndarray:
@@ -116,7 +96,8 @@ class SweepSpec:
 
     @property
     def dominance_fields(self) -> tuple[str, ...]:
-        return MODEL1_DOMINANCE if self.scenario.model is Model.AGGRESSION else MODEL2_DOMINANCE
+        """The observables; v1/v2 are reported but never compete for a cell."""
+        return self.field_names[:-2]
 
     @property
     def effective_runs(self) -> int:
@@ -170,74 +151,67 @@ class GridComparison:
     l1_difference: float
 
 
-def _measure_fields(spec: SweepSpec, dist: np.ndarray, params: ModelParams) -> np.ndarray:
-    if spec.scenario.model is Model.AGGRESSION:
-        obs = model1_basins(dist).as_dict()
-        gv = gender_violence(dist)
-    else:
-        obs = model2_observables(dist, params.p1, params.p2).as_dict()
-        gv = violent_marginals(dist)
-    obs["v1"] = gv.v1
-    obs["v2"] = gv.v2
-    return np.array([obs[name] for name in spec.field_names])
+def _exact_values(spec: SweepSpec) -> np.ndarray:
+    """(resolution**2, F) field values of every cell, row-major over (i, j)."""
+    model = spec.scenario.model
+    p1, p2 = (axis.ravel() for axis in np.meshgrid(spec.grid, spec.grid, indexing="ij"))
+    values = np.empty((p1.size, len(spec.field_names)))
+    for lo in range(0, p1.size, STACK_CELLS):
+        a, b = p1[lo:lo + STACK_CELLS], p2[lo:lo + STACK_CELLS]
+        if spec.scenario.self_consistent:
+            *_, (_, _, fields) = feedback_turns(model, a, b, spec.feedback_config(), spec.start)
+        else:
+            fields = exact_fields(model, a, b, spec.start, spec.effective_plain_steps)
+        values[lo:lo + len(a)] = fields
+    return values
 
 
-def _cell_values(spec: SweepSpec, i: int, j: int) -> np.ndarray:
-    grid = spec.grid
-    params = ModelParams(model=spec.scenario.model, p1=float(grid[i]), p2=float(grid[j]))
-    runs = spec.effective_runs
+def _monte_carlo_cell(spec: SweepSpec, i: int, j: int) -> np.ndarray:
+    model = spec.scenario.model
+    p1, p2 = float(spec.grid[i]), float(spec.grid[j])
+    config, runs = spec.feedback_config(), spec.effective_runs
     total = np.zeros(len(spec.field_names))
     for run in range(runs):
         seed = derive_seed(spec.master_seed, i, j, run)
         if spec.scenario.self_consistent:
-            trace = self_consistent_run(
-                params, spec.feedback_config(), start=spec.start, master_seed=seed
-            )
-            last = trace[-1]
-            values = np.array(
-                [
-                    {**last.observables.as_dict(), "v1": last.v1, "v2": last.v2}[name]
-                    for name in spec.field_names
-                ]
-            )
+            *_, (_, _, values) = feedback_turns(model, p1, p2, config, spec.start, seed)
         else:
-            if spec.engine is Engine.EXACT:
-                kernel = build_couple_kernel(params)
-                dist = evolve(delta_distribution(spec.start), kernel, spec.effective_plain_steps)
-            else:
-                dist = estimate_distribution(
-                    spec.start, params, spec.effective_plain_steps, spec.ensemble_size, seed
-                )
-            values = _measure_fields(spec, dist, params)
+            dist = estimate_distribution(
+                spec.start, ModelParams(model, p1, p2), spec.effective_plain_steps,
+                spec.ensemble_size, seed,
+            )
+            values = read_fields(model, dist, p1, p2)[0]
         total += values
     return total / runs
 
 
-def _compute_rows(spec: SweepSpec, rows: list[int]) -> tuple[list[int], np.ndarray]:
+def _monte_carlo_rows(spec: SweepSpec, rows: list[int]) -> np.ndarray:
     out = np.empty((len(rows), spec.resolution, len(spec.field_names)))
     for k, i in enumerate(rows):
         for j in range(spec.resolution):
-            out[k, j] = _cell_values(spec, i, j)
-    return rows, out
+            out[k, j] = _monte_carlo_cell(spec, i, j)
+    return out
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
-    """Scan the full grid; output is independent of the worker count."""
+    """Scan the full grid; output is independent of the worker count.
+
+    Exact sweeps run in-process; workers > 1 spreads Monte Carlo cells over
+    that many processes.
+    """
     resolution = spec.resolution
-    values = np.empty((resolution, resolution, len(spec.field_names)))
-    if workers <= 1:
-        _, block = _compute_rows(spec, list(range(resolution)))
-        values[:] = block
+    if spec.engine is Engine.EXACT:
+        values = _exact_values(spec).reshape(resolution, resolution, -1)
+    elif workers <= 1:
+        values = _monte_carlo_rows(spec, list(range(resolution)))
     else:
-        chunks = [list(range(start, resolution, workers)) for start in range(workers)]
-        chunks = [c for c in chunks if c]
+        values = np.empty((resolution, resolution, len(spec.field_names)))
+        chunks = [list(range(i, resolution, workers)) for i in range(min(workers, resolution))]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for rows, block in pool.map(_compute_rows, [spec] * len(chunks), chunks):
-                for k, i in enumerate(rows):
-                    values[i] = block[k]
-    fields = {
-        name: values[:, :, k].copy() for k, name in enumerate(spec.field_names)
-    }
+            blocks = pool.map(_monte_carlo_rows, [spec] * len(chunks), chunks)
+            for rows, block in zip(chunks, blocks):
+                values[rows] = block
+    fields = {name: values[:, :, k].copy() for k, name in enumerate(spec.field_names)}
     return SweepGrid(spec=spec, fields=fields)
 
 

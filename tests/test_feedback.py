@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from couplesim import (
     Engine,
@@ -55,11 +57,34 @@ def test_updates_stay_in_unit_interval_and_are_monotone():
             assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
 
+unit = st.floats(0.0, 1.0)
+
+
+@given(unit, st.lists(st.tuples(unit, unit), min_size=1, max_size=64))
+def test_array_updates_match_scalar_form(vc, pairs):
+    p = np.array([x for x, _ in pairs])
+    v = np.array([y for _, y in pairs])
+    for fn in (f_update, g_update):
+        stacked = fn(p, v, vc)
+        scalar = np.array([fn(x, y, vc) for x, y in pairs])
+        assert np.abs(stacked - scalar).max() <= 1e-15
+        assert np.array_equal(fn(np.zeros_like(p), v, vc), np.zeros_like(p))
+        assert np.array_equal(fn(np.ones_like(p), v, vc), np.ones_like(p))
+    at_threshold = np.full_like(p, vc)
+    assert np.array_equal(f_update(p, at_threshold, vc), p)
+    # g computes 1 - (1 - s) there, which is s up to one rounding
+    assert np.abs(g_update(p, at_threshold, vc) - p).max() <= 2.0**-53
+
+
 def test_update_rejects_out_of_range():
     with pytest.raises(ValueError):
         f_update(1.2, 0.5, 0.1)
     with pytest.raises(ValueError):
         g_update(0.5, -0.1, 0.1)
+    with pytest.raises(ValueError):
+        f_update(np.array([0.5, 1.2]), np.array([0.5, 0.5]), 0.1)
+    with pytest.raises(ValueError):
+        g_update(np.array([0.5, 0.5]), np.array([0.5, np.nan]), 0.1)
 
 
 def test_loop_fixed_point_at_zero():

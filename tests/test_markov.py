@@ -103,14 +103,6 @@ def test_step_is_linear():
         assert np.abs(mixed - parts).max() < 1e-12
 
 
-def test_early_exit_matches_full_run():
-    kernel = build_couple_kernel(ModelParams(Model.AGGRESSION, 0.5, 0.5))
-    dist = delta_distribution((1, 0))
-    full = evolve(dist, kernel, 2000)
-    early = evolve(dist, kernel, 2000, convergence_tol=1e-12)
-    assert np.abs(full - early).max() < 1e-10
-
-
 def test_unreachable_states_stay_empty_from_any_start():
     rng = np.random.default_rng(24)
     goe = [encode((2, 1)), encode((1, 2))]

@@ -3,11 +3,22 @@ import pytest
 
 from couplesim import (
     Engine,
+    Model,
+    ModelParams,
     Scenario,
     SweepSpec,
+    build_couple_kernel,
     compare_grids,
+    delta_distribution,
+    evolve,
+    gender_violence,
+    model1_basins,
+    model2_observables,
     run_sweep,
+    self_consistent_run,
+    violent_marginals,
 )
+from couplesim import sweep
 
 
 def small(scenario, **kw):
@@ -133,3 +144,35 @@ def test_dominance_counts_cover_grid():
     counts = grid.dominance_counts()
     assert sum(counts.values()) == 36
     assert set(counts) == set(grid.spec.dominance_fields)
+
+
+def _single_cell(spec, i, j):
+    """The cell's fields from a run of that one cell (N = 1), by field name."""
+    params = ModelParams(spec.scenario.model, float(spec.grid[i]), float(spec.grid[j]))
+    if spec.scenario.self_consistent:
+        last = self_consistent_run(params, spec.feedback_config(), start=spec.start)[-1]
+        return {**last.observables.as_dict(), "v1": last.v1, "v2": last.v2}
+    kernel = build_couple_kernel(params)
+    dist = evolve(delta_distribution(spec.start), kernel, spec.effective_plain_steps)
+    if params.model is Model.AGGRESSION:
+        obs, gv = model1_basins(dist).as_dict(), gender_violence(dist)
+    else:
+        obs, gv = model2_observables(dist, params.p1, params.p2).as_dict(), violent_marginals(dist)
+    return {**obs, "v1": gv.v1, "v2": gv.v2}
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_stack_split_does_not_change_results(scenario, monkeypatch):
+    # 17 x 17 = 289 cells: one full stack of 256 and one of 33
+    spec = SweepSpec(scenario=scenario, resolution=17)
+    assert spec.resolution**2 > sweep.STACK_CELLS == 256
+    grid = run_sweep(spec)
+    for cell in (1, 137, 254, 255, 256, 257, 271, 288):
+        i, j = divmod(cell, spec.resolution)
+        expected = _single_cell(spec, i, j)
+        for name in spec.field_names:
+            assert grid.fields[name][i, j] == expected[name], (cell, name)
+    monkeypatch.setattr(sweep, "STACK_CELLS", 7)
+    resplit = run_sweep(spec)
+    for name in spec.field_names:
+        assert np.array_equal(grid.fields[name], resplit.fields[name]), name
