@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plain-steps", dest="plain_steps", type=int)
     p.add_argument("--start", type=_parse_start)
     p.add_argument("--threads", type=int,
-                   help="worker processes for Monte Carlo sweeps (default 1)")
+                   help="worker processes sharing Monte Carlo stacks (default 1)")
     p.add_argument("--outdir")
     p.add_argument("--pgm", action="store_true", default=None,
                    help="also write PGM heatmaps")

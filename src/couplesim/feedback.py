@@ -16,10 +16,10 @@ Perceived violence per partner:
 Gender-blind feedback applies the average (v1+v2)/2 to both partners;
 gender-specific feedback applies v1 to partner 1 and v2 to partner 2.
 
-The exact engine runs a stack of N cells at once: every turn builds the N
-kernels, evolves the (N,16) distributions and updates the N parameter
-pairs as whole arrays, and one cell is a stack with N = 1. The Monte
-Carlo engine runs one cell on Python floats.
+Both engines run a stack of N cells at once; one cell is the stack N = 1.
+The exact engine evolves (N,16) distributions and updates p as arrays; the
+Monte Carlo engine samples the N ensembles as one and updates each cell's
+p on Python floats (libm `**`), so a cell gives the same bits in any stack.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ import numpy as np
 
 from .kernels import couple_kernels
 from .markov import delta_distribution, evolve
-from .montecarlo import estimate_distribution
+from .montecarlo import estimate_distributions
 from .observables import AbsorptionBasins, PathWeights, read_fields
-from .rng import derive_seed
+from .rng import derive_seed_array
 from .states import CoupleState, Model, ModelParams, validate_param
 
 
@@ -119,35 +119,39 @@ def exact_fields(model: Model, p1, p2, start: CoupleState, steps: int) -> np.nda
 
 
 def feedback_turns(
-    model: Model, p1, p2, config: FeedbackConfig, start: CoupleState = (1, 0), master_seed: int = 0
+    model: Model, p1, p2, config: FeedbackConfig, start: CoupleState = (1, 0), master_seed=0
 ) -> Iterator[tuple]:
     """Yield (p1, p2, fields) for turns 0..config.turns, updating in between.
 
-    With the exact engine p1 and p2 are length-N arrays, one entry per
-    cell of the stack, and fields is the (N, F) array of read_fields; no
-    seed is used. With the Monte Carlo engine p1 and p2 are floats, fields
-    is one row, and turn k measures on seed derive_seed(master_seed, k).
+    p1 and p2 are length-N arrays, one entry per cell of the stack, and
+    fields is the (N, F) array of read_fields. The exact engine uses no
+    seed; the Monte Carlo engine measures turn k of cell n on seed
+    derive_seed(master_seed[n], k) (master_seed: length N, or one int).
     The v1, v2 columns are clipped to [0, 1] before they feed the update.
     """
+    f_or_g = f_update if model is Model.AGGRESSION else g_update
     if config.engine is Engine.EXACT:
         def measure(turn, p1, p2):
             return exact_fields(model, p1, p2, start, config.inner_steps)
+        update = f_or_g
     else:
         def measure(turn, p1, p2):
-            dist = estimate_distribution(
-                start, ModelParams(model, p1, p2), config.inner_steps,
-                config.ensemble_size, derive_seed(master_seed, turn),
+            dist = estimate_distributions(
+                start, model, p1, p2, config.inner_steps, config.ensemble_size,
+                derive_seed_array(master_seed, turn),
             )
-            return read_fields(model, dist, p1, p2)[0]
-    update = f_update if model is Model.AGGRESSION else g_update
+            return read_fields(model, dist, p1, p2)
+
+        def update(p, v, vc):  # libm's pow: numpy's array power can differ in the last bit
+            return np.array([f_or_g(a, b, vc) for a, b in zip(p.tolist(), v.tolist())])
     for turn in range(config.turns + 1):
         fields = measure(turn, p1, p2)
         # the unrenormalized evolution can leave v outside [0,1] by ~1e-16
-        fields[..., -2:] = np.clip(fields[..., -2:], 0.0, 1.0)
+        fields[:, -2:] = np.clip(fields[:, -2:], 0.0, 1.0)
         yield p1, p2, fields
         if turn == config.turns:
             return
-        v1, v2 = fields[..., -2], fields[..., -1]
+        v1, v2 = fields[:, -2], fields[:, -1]
         if config.gender_mode is GenderMode.BLIND:
             v1 = v2 = (v1 + v2) / 2.0
         p1, p2 = update(p1, v1, config.vc), update(p2, v2, config.vc)
@@ -163,19 +167,16 @@ def self_consistent_run(
 
     Record k holds the parameters after k updates together with the
     violence and observables they generate, so the trace has turns + 1
-    records and the last one is the settled measurement. With the exact
-    engine the whole run is deterministic and is a stack of one cell; with
-    the Monte Carlo engine turn k measures on seed derive_seed(master_seed, k).
+    records and the last one is the settled measurement. The run is a
+    stack of one cell; the exact engine is deterministic, and the Monte
+    Carlo engine measures turn k on seed derive_seed(master_seed, k).
     """
-    model, p1, p2 = init_params.model, init_params.p1, init_params.p2
-    if config.engine is Engine.EXACT:
-        p1, p2 = np.array([p1]), np.array([p2])
+    model = init_params.model
+    p1, p2 = np.array([init_params.p1]), np.array([init_params.p2])
     kind = AbsorptionBasins if model is Model.AGGRESSION else PathWeights
     trace: FeedbackTrace = []
-    for turn, (p1, p2, fields) in enumerate(
-        feedback_turns(model, p1, p2, config, start, master_seed)
-    ):
-        *obs, v1, v2 = (float(x) for x in np.ravel(fields))
-        p1_now, p2_now = float(np.ravel(p1)[0]), float(np.ravel(p2)[0])
-        trace.append(TurnRecord(turn, p1_now, p2_now, v1, v2, kind(*obs)))
+    turns = feedback_turns(model, p1, p2, config, start, master_seed)
+    for turn, (p1, p2, fields) in enumerate(turns):
+        *obs, v1, v2 = fields[0].tolist()
+        trace.append(TurnRecord(turn, float(p1[0]), float(p2[0]), v1, v2, kind(*obs)))
     return trace

@@ -112,12 +112,17 @@ def tau3(s_next: int, s_self: int, s_partner: int, supp: float) -> float:
     return tau(Model.SUPPORT, s_next, s_self, s_partner, supp)
 
 
+def individual_kernels(model: Model, params, name: str = "param") -> np.ndarray:
+    """(N,4,4,4) individual tables of N parameters, one broadcast of const + slope * p."""
+    const, slope = _AFFINE[model]
+    params = validate_param(np.asarray(params, dtype=float), name)
+    return const + slope * params[:, None, None, None]
+
+
 @lru_cache(maxsize=512)
 def individual_kernel(model: Model, param: float) -> np.ndarray:
     """4x4x4 table K[self+1, partner+1, next+1]; rows sum to 1."""
-    validate_param(param)
-    const, slope = _AFFINE[model]
-    kernel = const + slope * param
+    kernel = individual_kernels(model, [validate_param(param)])[0]
     kernel.setflags(write=False)
     return kernel
 
@@ -141,9 +146,7 @@ def couple_kernels(model: Model, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     Partner 1 sees partner 2's old state and vice versa. All N tables come
     from one broadcast of the affine const + slope * p tensors.
     """
-    const, slope = _AFFINE[model]
-    k1 = const + slope * validate_param(np.asarray(p1, dtype=float), "p1")[:, None, None, None]
-    k2 = const + slope * validate_param(np.asarray(p2, dtype=float), "p2")[:, None, None, None]
+    k1, k2 = individual_kernels(model, p1, "p1"), individual_kernels(model, p2, "p2")
     return np.einsum("nabi,nbaj->nabij", k1, k2).reshape(-1, 16, 16)
 
 

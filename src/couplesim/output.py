@@ -28,30 +28,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _write_lines(path: Path | str, lines: Iterable[str]) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+
+
+def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    _write_lines(path, [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)])
+
+
+def _reprs(values) -> list[str]:
+    """_fmt of every value as a float, flattened; tolist() gives Python floats."""
+    return [repr(v) for v in np.asarray(values, dtype=float).ravel().tolist()]
 
 
 def write_matrix_csv(path: Path | str, values: np.ndarray, axis: np.ndarray) -> None:
     """Matrix over the parameter plane: first column p1, one column per p2."""
-    header = ["p1"] + [_fmt(float(p2)) for p2 in axis]
-    rows = (
-        [float(axis[i])] + [float(v) for v in values[i]] for i in range(len(axis))
-    )
-    write_csv(path, header, rows)
+    axis_texts = _reprs(axis)
+    rows = (",".join([p1, *_reprs(row)]) for p1, row in zip(axis_texts, values))
+    _write_lines(path, [",".join(["p1", *axis_texts]), *rows])
 
 
 def write_long_csv(path: Path | str, fields: Mapping[str, np.ndarray], axis: np.ndarray) -> None:
     """Long format: one (p1, p2, field, value) row per cell and field."""
-    def rows():
-        for i, p1 in enumerate(axis):
-            for j, p2 in enumerate(axis):
-                for name, values in fields.items():
-                    yield [float(p1), float(p2), name, float(values[i, j])]
-
-    write_csv(path, ["p1", "p2", "field", "value"], rows())
+    axis_texts = _reprs(axis)
+    with open(path, "wb") as fh:  # one p1 row at a time keeps the text small
+        fh.write(b"p1,p2,field,value\n")
+        for i, p1 in enumerate(axis_texts):
+            columns = [(name, _reprs(values[i])) for name, values in fields.items()]
+            rows = (f"{p1},{p2},{name},{texts[j]}\n"
+                    for j, p2 in enumerate(axis_texts) for name, texts in columns)
+            fh.write("".join(rows).encode("ascii"))
 
 
 def write_pgm(path: Path | str, values: np.ndarray) -> None:
@@ -64,8 +70,7 @@ def write_pgm(path: Path | str, values: np.ndarray) -> None:
 
 
 def write_trajectory_text(path: Path | str, trajectory: Trajectory) -> None:
-    lines = format_trajectory(trajectory)
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    _write_lines(path, format_trajectory(trajectory))
 
 
 def write_trajectory_csv(path: Path | str, trajectory: Trajectory) -> None:
@@ -98,5 +103,4 @@ def write_feedback_csv(path: Path | str, trace: FeedbackTrace) -> None:
 
 def write_meta(path: Path | str, config: Mapping[str, object]) -> None:
     """Echo a resolved configuration as flat `key = value` lines."""
-    lines = [f"{key} = {_fmt(value)}" for key, value in config.items()]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    _write_lines(path, (f"{key} = {_fmt(value)}" for key, value in config.items()))

@@ -27,20 +27,25 @@ def _mix(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
+def _u64(x) -> np.ndarray:
+    """Integers (any sign or size) and integer arrays as uint64, modulo 2**64."""
+    if isinstance(x, (int, np.integer)):
+        return np.uint64(int(x) & _MASK)
+    return np.asarray(x).astype(np.uint64)
+
+
+def derive_seed_array(master, *indices) -> np.ndarray:
+    """derive_seed over arrays: the master and every index broadcast together."""
+    with np.errstate(over="ignore"):
+        h = _mix(_u64(master) + _GAMMA)
+        for x in indices:
+            h = _mix(h ^ _mix(_u64(x) + _GAMMA))
+    return h
+
+
 def derive_seed(master: int, *indices: int) -> int:
     """Hash a master seed with integer indices into a stream seed."""
-    with np.errstate(over="ignore"):
-        h = _mix(np.uint64(master & _MASK) + _GAMMA)
-        for x in indices:
-            h = _mix(h ^ _mix(np.uint64(int(x) & _MASK) + _GAMMA))
-    return int(h)
-
-
-def derive_seed_array(master: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized derive_seed(master, i) over an index array."""
-    with np.errstate(over="ignore"):
-        h = _mix(np.uint64(master & _MASK) + _GAMMA)
-        return _mix(h ^ _mix(indices.astype(np.uint64) + _GAMMA))
+    return int(derive_seed_array(master, *indices))
 
 
 def counter_uniform(seed, counter) -> np.ndarray:

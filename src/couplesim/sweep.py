@@ -1,16 +1,14 @@
 """Parameter-plane scans over (p1, p2) in [0,1]^2.
 
-Exact cells run in-process as stacks: the grid is cut, in row-major cell
-order, into stacks of at most STACK_CELLS cells, and each stack runs every
-turn of the feedback loop (or the plain evolution) as whole arrays. The
-exact engine is deterministic and derives no seeds; averaging repeated
-runs would reproduce a single run, so it computes one run per cell
-regardless of runs_per_cell. A cell's values do not depend on the stack
-it falls in.
-
-With the Monte Carlo engine every cell is an independent work item with
-its own derived seed, and results are merged positionally, so the output
-is identical for any worker count.
+A sweep is cut, row-major over (i, j, run), into stacks of (cell, run)
+pairs, and each stack runs every turn of the feedback loop (or the plain
+evolution or sampling) as whole arrays. The exact engine is deterministic,
+derives no seeds and runs one run per cell (repeats would reproduce it) in
+stacks of at most STACK_CELLS cells, in-process. Monte Carlo pair (i, j, r)
+samples on seed derive_seed(master_seed, i, j, r) in stacks of at most
+STACK_TRAJECTORIES trajectories; workers > 1 spreads whole stacks over
+processes, merged positionally. A cell's values, the run-ordered average of
+its runs, depend neither on its stack nor on the worker count.
 """
 
 from __future__ import annotations
@@ -22,14 +20,18 @@ from enum import Enum
 import numpy as np
 
 from .feedback import Engine, FeedbackConfig, GenderMode, exact_fields, feedback_turns
-from .montecarlo import estimate_distribution
+from .montecarlo import estimate_distributions
 from .observables import MODEL1_FIELDS, MODEL2_FIELDS, read_fields
-from .rng import derive_seed
-from .states import CoupleState, Model, ModelParams, encode
+from .rng import derive_seed_array
+from .states import CoupleState, Model, encode
 
 # Cells per exact stack. Every turn holds an (N,16,16) kernel stack, 2 KB a
 # cell, so the bound keeps a full grid's memory near that of one stack.
 STACK_CELLS = 256
+# Trajectories per Monte Carlo stack: ensemble_size of them for each
+# (cell, run) pair, and at least one pair. Every step holds a few dozen
+# bytes a trajectory, so the bound keeps the stack's arrays near 1 MB.
+STACK_TRAJECTORIES = 8192
 
 
 class Scenario(Enum):
@@ -151,66 +153,39 @@ class GridComparison:
     l1_difference: float
 
 
-def _exact_values(spec: SweepSpec) -> np.ndarray:
-    """(resolution**2, F) field values of every cell, row-major over (i, j)."""
-    model = spec.scenario.model
-    p1, p2 = (axis.ravel() for axis in np.meshgrid(spec.grid, spec.grid, indexing="ij"))
-    values = np.empty((p1.size, len(spec.field_names)))
-    for lo in range(0, p1.size, STACK_CELLS):
-        a, b = p1[lo:lo + STACK_CELLS], p2[lo:lo + STACK_CELLS]
-        if spec.scenario.self_consistent:
-            *_, (_, _, fields) = feedback_turns(model, a, b, spec.feedback_config(), spec.start)
-        else:
-            fields = exact_fields(model, a, b, spec.start, spec.effective_plain_steps)
-        values[lo:lo + len(a)] = fields
-    return values
-
-
-def _monte_carlo_cell(spec: SweepSpec, i: int, j: int) -> np.ndarray:
-    model = spec.scenario.model
-    p1, p2 = float(spec.grid[i]), float(spec.grid[j])
-    config, runs = spec.feedback_config(), spec.effective_runs
-    total = np.zeros(len(spec.field_names))
-    for run in range(runs):
-        seed = derive_seed(spec.master_seed, i, j, run)
-        if spec.scenario.self_consistent:
-            *_, (_, _, values) = feedback_turns(model, p1, p2, config, spec.start, seed)
-        else:
-            dist = estimate_distribution(
-                spec.start, ModelParams(model, p1, p2), spec.effective_plain_steps,
-                spec.ensemble_size, seed,
-            )
-            values = read_fields(model, dist, p1, p2)[0]
-        total += values
-    return total / runs
-
-
-def _monte_carlo_rows(spec: SweepSpec, rows: list[int]) -> np.ndarray:
-    out = np.empty((len(rows), spec.resolution, len(spec.field_names)))
-    for k, i in enumerate(rows):
-        for j in range(spec.resolution):
-            out[k, j] = _monte_carlo_cell(spec, i, j)
-    return out
+def _stack_fields(spec: SweepSpec, pairs: range) -> np.ndarray:
+    """(len(pairs), F) fields of (cell, run) pairs, numbered row-major over (i, j, run)."""
+    model, exact = spec.scenario.model, spec.engine is Engine.EXACT
+    cell, run = np.divmod(np.array(pairs), spec.effective_runs)
+    i, j = np.divmod(cell, spec.resolution)
+    p1, p2 = spec.grid[i], spec.grid[j]
+    seeds = None if exact else derive_seed_array(spec.master_seed, i, j, run)
+    if spec.scenario.self_consistent:
+        *_, (_, _, fields) = feedback_turns(
+            model, p1, p2, spec.feedback_config(), spec.start, seeds
+        )
+        return fields
+    steps = spec.effective_plain_steps
+    if exact:
+        return exact_fields(model, p1, p2, spec.start, steps)
+    dist = estimate_distributions(spec.start, model, p1, p2, steps, spec.ensemble_size, seeds)
+    return read_fields(model, dist, p1, p2)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
-    """Scan the full grid; output is independent of the worker count.
-
-    Exact sweeps run in-process; workers > 1 spreads Monte Carlo cells over
-    that many processes.
-    """
-    resolution = spec.resolution
-    if spec.engine is Engine.EXACT:
-        values = _exact_values(spec).reshape(resolution, resolution, -1)
-    elif workers <= 1:
-        values = _monte_carlo_rows(spec, list(range(resolution)))
+    """Scan the full grid; workers > 1 spreads Monte Carlo stacks, never changing the output."""
+    runs, exact = spec.effective_runs, spec.engine is Engine.EXACT
+    pairs = spec.resolution**2 * runs
+    size = STACK_CELLS if exact else max(1, STACK_TRAJECTORIES // spec.ensemble_size)
+    stacks = [range(lo, min(lo + size, pairs)) for lo in range(0, pairs, size)]
+    if exact or workers <= 1:
+        blocks = [_stack_fields(spec, stack) for stack in stacks]
     else:
-        values = np.empty((resolution, resolution, len(spec.field_names)))
-        chunks = [list(range(i, resolution, workers)) for i in range(min(workers, resolution))]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            blocks = pool.map(_monte_carlo_rows, [spec] * len(chunks), chunks)
-            for rows, block in zip(chunks, blocks):
-                values[rows] = block
+        with ProcessPoolExecutor(max_workers=min(workers, len(stacks))) as pool:
+            blocks = list(pool.map(_stack_fields, [spec] * len(stacks), stacks))
+    per_run = np.concatenate(blocks).reshape(spec.resolution, spec.resolution, runs, -1)
+    # each cell's runs summed in run order from 0, the bits of a running total
+    values = sum(per_run[:, :, run] for run in range(runs)) / runs
     fields = {name: values[:, :, k].copy() for k, name in enumerate(spec.field_names)}
     return SweepGrid(spec=spec, fields=fields)
 

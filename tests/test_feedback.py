@@ -15,6 +15,8 @@ from couplesim import (
     g_update,
     self_consistent_run,
 )
+from couplesim.feedback import feedback_turns
+from couplesim.rng import derive_seed_array
 
 
 def test_f_update_values():
@@ -179,3 +181,20 @@ def test_config_validation():
         FeedbackConfig(turns=0)
     with pytest.raises(ValueError):
         FeedbackConfig(inner_steps=0)
+
+
+@pytest.mark.parametrize("model,update", [(Model.AGGRESSION, f_update), (Model.SUPPORT, g_update)])
+def test_monte_carlo_stack_updates_each_cell_on_python_floats(model, update):
+    # numpy's array power can differ from libm's pow in the last bit; the
+    # Monte Carlo engine keeps the scalar form so its cells stay bit-stable
+    gen = np.random.default_rng(0)
+    p1, p2 = gen.random(200), gen.random(200)
+    config = FeedbackConfig(
+        engine=Engine.MONTE_CARLO, ensemble_size=64, turns=1, inner_steps=4,
+        gender_mode=GenderMode.SPECIFIC,
+    )
+    seeds = derive_seed_array(1, np.arange(200))
+    (a1, a2, fields), (b1, b2, _) = feedback_turns(model, p1, p2, config, master_seed=seeds)
+    for before, after, v in ((a1, b1, fields[:, -2]), (a2, b2, fields[:, -1])):
+        expected = [update(p, x, config.vc) for p, x in zip(before.tolist(), v.tolist())]
+        assert after.tolist() == expected

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from couplesim import (
     Model,
@@ -16,7 +18,8 @@ from couplesim import (
     sample_step,
     sample_trajectory,
 )
-from couplesim.rng import DrawStream
+from couplesim.montecarlo import estimate_distributions
+from couplesim.rng import DrawStream, derive_seed_array
 
 AGG = ModelParams(Model.AGGRESSION, 0.3, 0.3)
 
@@ -136,3 +139,38 @@ def test_format_trajectory_lines():
         "t=1, s1=-1 s2=-1",
         "t=2, s1=0 s2=0",
     ]
+
+
+@given(
+    masters=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+    offset=st.integers(-2**62, 2**62),
+    run=st.integers(-2**63, 2**63 - 1),
+)
+@example(masters=[2**63, 2**64 - 1, 0, 2**63 - 1], offset=-3, run=-1)
+def test_vectorized_seed_derivation_matches_scalar(masters, offset, run):
+    indices = offset + np.arange(len(masters))  # int64, negative ones included
+    stacked = derive_seed_array(np.array(masters, dtype=np.uint64), indices, run)
+    for master, index, seed in zip(masters, indices.tolist(), stacked.tolist()):
+        assert seed == derive_seed(master, index, run)
+    per_index = derive_seed_array(masters[0], indices)
+    assert per_index.tolist() == [derive_seed(masters[0], index) for index in indices.tolist()]
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("start", [(1, 0), (0, 2)])
+def test_stacked_estimate_matches_sequential_sampling(model, start):
+    p1 = np.array([0.0, 0.35, 0.62, 1.0, 0.35])
+    p2 = np.array([0.5, 0.62, 0.35, 1.0, 0.0])
+    masters = np.array([0, 99, 2**63 + 1, 2**64 - 1, 99], dtype=np.uint64)
+    n, steps = 150, 6
+    stacked = estimate_distributions(start, model, p1, p2, steps, n, masters)
+    assert stacked.shape == (5, 16)
+    for cell, master in enumerate(masters.tolist()):
+        params = ModelParams(model, p1[cell], p2[cell])
+        counts = np.zeros(16)
+        for i in range(n):
+            trajectory = sample_trajectory(start, params, steps, derive_seed(master, i))
+            counts[encode(trajectory.states[-1])] += 1
+        assert np.array_equal(stacked[cell], counts / n), cell
+        single = estimate_distribution(start, params, steps, n, master)
+        assert np.array_equal(stacked[cell], single), cell

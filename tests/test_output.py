@@ -1,0 +1,37 @@
+import numpy as np
+
+from couplesim.output import write_csv, write_long_csv, write_matrix_csv
+
+# Floats whose shortest round-trip text is easy to get wrong: exponent
+# forms at both ends, the smallest subnormal, a signed zero, a long mantissa.
+AWKWARD = [1e-05, 1e16, 5e-324, -0.0, 0.30000000000000004, 0.1, 1.0, 0.0, 2.5e-07]
+
+
+def test_grid_writers_match_per_value_formatting(tmp_path):
+    axis = np.array([0.0, 1e-05, 0.30000000000000004])
+    values = np.array(AWKWARD).reshape(3, 3)
+    other = -values[::-1]
+
+    write_matrix_csv(tmp_path / "matrix.csv", values, axis)
+    write_csv(
+        tmp_path / "matrix_ref.csv",
+        ["p1"] + [repr(float(p2)) for p2 in axis],
+        ([float(axis[i])] + [float(v) for v in values[i]] for i in range(3)),
+    )
+    assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "matrix_ref.csv").read_bytes()
+
+    fields = {"normal": values, "v1": other}
+    write_long_csv(tmp_path / "long.csv", fields, axis)
+    write_csv(
+        tmp_path / "long_ref.csv",
+        ["p1", "p2", "field", "value"],
+        (
+            [float(axis[i]), float(axis[j]), name, float(grid[i, j])]
+            for i in range(3) for j in range(3) for name, grid in fields.items()
+        ),
+    )
+    assert (tmp_path / "long.csv").read_bytes() == (tmp_path / "long_ref.csv").read_bytes()
+    lines = (tmp_path / "long.csv").read_text().splitlines()
+    assert lines[1] == "0.0,0.0,normal,1e-05"
+    assert lines[7] == "1e-05,0.0,normal,-0.0"
+    assert "5e-324" in (tmp_path / "matrix.csv").read_text()

@@ -10,6 +10,8 @@ from couplesim import (
     build_couple_kernel,
     compare_grids,
     delta_distribution,
+    derive_seed,
+    estimate_distribution,
     evolve,
     gender_violence,
     model1_basins,
@@ -19,6 +21,7 @@ from couplesim import (
     violent_marginals,
 )
 from couplesim import sweep
+from couplesim.observables import read_fields
 
 
 def small(scenario, **kw):
@@ -176,3 +179,75 @@ def test_stack_split_does_not_change_results(scenario, monkeypatch):
     resplit = run_sweep(spec)
     for name in spec.field_names:
         assert np.array_equal(grid.fields[name], resplit.fields[name]), name
+
+
+def _mc_spec(scenario, **kw):
+    # 3000 trajectories a pair: stacks of 2 (cell, run) pairs. With 3 runs a
+    # cell, stack boundaries split the runs of every cell and also fall
+    # between cells 1 and 2, 3 and 4, ...
+    defaults = dict(
+        resolution=3, runs_per_cell=3, engine=Engine.MONTE_CARLO, ensemble_size=3000,
+        master_seed=2**63 + 17, inner_steps=6, turns=3, plain_steps=7,
+    )
+    defaults.update(kw)
+    return SweepSpec(scenario=scenario, **defaults)
+
+
+def _run_average(rows):
+    """Average of per-run field rows, summed in run order from zeros."""
+    total = np.zeros(len(rows[0]))
+    for row in rows:
+        total += row
+    return total / len(rows)
+
+
+@pytest.mark.parametrize(
+    "scenario", [Scenario.MODEL1_SC_BLIND, Scenario.MODEL2_SC_GENDER, Scenario.MODEL2_SC_BLIND]
+)
+def test_monte_carlo_sc_cells_equal_single_runs(scenario):
+    spec = _mc_spec(scenario)
+    assert sweep.STACK_TRAJECTORIES // spec.ensemble_size == 2
+    grid = run_sweep(spec)
+    for cell in (0, 1, 2, 5, 8):
+        i, j = divmod(cell, spec.resolution)
+        params = ModelParams(scenario.model, float(spec.grid[i]), float(spec.grid[j]))
+        rows = []
+        for run in range(spec.effective_runs):
+            seed = derive_seed(spec.master_seed, i, j, run)
+            last = self_consistent_run(params, spec.feedback_config(), spec.start, seed)[-1]
+            rows.append([*last.observables.as_dict().values(), last.v1, last.v2])
+        expected = _run_average(rows)
+        for k, name in enumerate(spec.field_names):
+            assert grid.fields[name][i, j] == expected[k], (cell, name)
+
+
+@pytest.mark.parametrize("scenario", [Scenario.MODEL1_PLAIN, Scenario.MODEL2_PLAIN])
+def test_monte_carlo_plain_cells_equal_single_estimates(scenario):
+    spec = _mc_spec(scenario, runs_per_cell=3)
+    assert sweep.STACK_TRAJECTORIES // spec.ensemble_size == 2
+    grid = run_sweep(spec)
+    for i in range(spec.resolution):
+        for j in range(spec.resolution):
+            p1, p2 = float(spec.grid[i]), float(spec.grid[j])
+            params = ModelParams(scenario.model, p1, p2)
+            rows = [
+                read_fields(scenario.model, estimate_distribution(
+                    spec.start, params, spec.effective_plain_steps, spec.ensemble_size,
+                    derive_seed(spec.master_seed, i, j, run),
+                ), p1, p2)[0]
+                for run in range(spec.effective_runs)
+            ]
+            expected = _run_average(rows)
+            for k, name in enumerate(spec.field_names):
+                assert grid.fields[name][i, j] == expected[k], (i, j, name)
+
+
+@pytest.mark.parametrize("scenario", [Scenario.MODEL1_SC_GENDER, Scenario.MODEL2_PLAIN])
+def test_monte_carlo_stack_bound_does_not_change_results(scenario, monkeypatch):
+    spec = _mc_spec(scenario, resolution=4, runs_per_cell=2, ensemble_size=200, master_seed=-5)
+    grid = run_sweep(spec)  # 32 pairs, one stack
+    for pairs in (1, 3):
+        monkeypatch.setattr(sweep, "STACK_TRAJECTORIES", pairs * spec.ensemble_size)
+        resplit = run_sweep(spec)
+        for name in spec.field_names:
+            assert np.array_equal(grid.fields[name], resplit.fields[name]), (pairs, name)
