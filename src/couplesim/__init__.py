@@ -23,8 +23,7 @@ from .kernels import (
     build_couple_kernel,
     garden_of_eden_states,
     individual_kernel,
-    tau1,
-    tau3,
+    tau,
 )
 from .markov import delta_distribution, evolve, evolve_trace, step
 from .montecarlo import (
@@ -110,8 +109,7 @@ __all__ = [
     "sample_trajectory",
     "self_consistent_run",
     "step",
-    "tau1",
-    "tau3",
+    "tau",
     "violent_marginals",
 ]
 

@@ -1,17 +1,21 @@
 """Command-line frontend.
 
 Commands: trajectory, evolve, selfconsistent, sweep, audit-kernel. Every
-option can also come from a flat `key = value` config file (--config);
-explicit command-line flags win over the file, the file wins over the
-defaults, and unknown keys in the file are rejected. Exit codes: 0 on
-success, 2 for configuration errors, 3 for runtime failures.
+option can also come from a flat `key = value` config file (--config) whose
+keys are the flag names with `_` for `-`; a flag and its key share one
+converter, so both reject the same values. Flags win over the file, the file
+wins over the defaults, and unknown keys are rejected. Exit codes: 0 on
+success, 2 for configuration errors (a bad value, a malformed or unreadable
+config file, --threads below 1), 3 for runtime failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from enum import Enum
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .feedback import Engine, FeedbackConfig, GenderMode, self_consistent_run
 from .kernels import build_couple_kernel, iter_couple_entries, iter_individual_entries
@@ -32,8 +36,8 @@ from .states import Model, ModelParams
 from .sweep import Scenario, SweepSpec, run_sweep
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(argparse.ArgumentTypeError, ValueError):
+    """A malformed option value or config file; argparse prints the message as is."""
 
 
 def _parse_bool(text: str) -> bool:
@@ -53,69 +57,101 @@ def _parse_start(text: str) -> tuple[int, int]:
     return (s1, s2)
 
 
-# Option schemas: dest -> (converter, default). The same schema drives both
-# the argparse flags and the config-file validation.
-_SCHEMAS: dict[str, dict[str, tuple]] = {
+class _OneOf:
+    """Converter taking only an enum's values, parsed as their type (1, "exact")."""
+
+    def __init__(self, enum: type[Enum]) -> None:
+        self.choices = [member.value for member in enum]
+
+    def __call__(self, text: str):
+        try:
+            value = type(self.choices[0])(text)
+        except ValueError:
+            value = None
+        if value not in self.choices:
+            raise ConfigError(f"expected one of {', '.join(map(str, self.choices))}; got {text!r}")
+        return value
+
+
+class _Option(NamedTuple):
+    """One option: the flag is `--` plus its key with `_` turned into `-`."""
+
+    convert: Callable[[str], Any]
+    default: Any = None
+    help: str | None = None
+    aliases: tuple[str, ...] = ()
+
+
+def _partners(default: float) -> dict[str, _Option]:
+    """p1 and p2, also spelled --a1/--a2 (aggression) and --s1/--s2 (support)."""
+    return {f"p{i}": _Option(float, default, aliases=(f"--a{i}", f"--s{i}")) for i in (1, 2)}
+
+
+# The only declaration of each command's options, for flags and config keys
+# alike. Key order is the order of the help text and of *_meta.txt.
+_SCHEMAS: dict[str, dict[str, _Option]] = {
     "trajectory": {
-        "model": (int, 1),
-        "p1": (float, 0.3),
-        "p2": (float, 0.3),
-        "steps": (int, 20),
-        "seed": (int, 0),
-        "start": (_parse_start, (1, 0)),
-        "out": (str, "trajectory"),
+        "model": _Option(_OneOf(Model), 1),
+        **_partners(0.3),
+        "steps": _Option(int, 20),
+        "seed": _Option(int, 0),
+        "start": _Option(_parse_start, (1, 0), "initial couple state, e.g. 1,0"),
+        "out": _Option(str, "trajectory", "output prefix for .txt/.csv files"),
     },
     "evolve": {
-        "model": (int, 1),
-        "p1": (float, 0.3),
-        "p2": (float, 0.3),
-        "steps": (int, 20),
-        "start": (_parse_start, (1, 0)),
-        "out": (str, "evolve"),
+        "model": _Option(_OneOf(Model), 1),
+        **_partners(0.3),
+        "steps": _Option(int, 20),
+        "start": _Option(_parse_start, (1, 0)),
+        "out": _Option(str, "evolve", "output prefix for the trace CSV"),
     },
     "selfconsistent": {
-        "model": (int, 1),
-        "p1": (float, 0.5),
-        "p2": (float, 0.5),
-        "vc": (float, 0.1),
-        "inner_steps": (int, 20),
-        "turns": (int, 20),
-        "gender_mode": (str, "blind"),
-        "engine": (str, "exact"),
-        "ensemble_size": (int, 1000),
-        "seed": (int, 0),
-        "start": (_parse_start, (1, 0)),
-        "out": (str, "selfconsistent"),
+        "model": _Option(_OneOf(Model), 1),
+        **_partners(0.5),
+        "vc": _Option(float, 0.1),
+        "inner_steps": _Option(int, 20),
+        "turns": _Option(int, 20),
+        "gender_mode": _Option(_OneOf(GenderMode), "blind"),
+        "engine": _Option(_OneOf(Engine), "exact"),
+        "ensemble_size": _Option(int, 1000),
+        "seed": _Option(int, 0),
+        "start": _Option(_parse_start, (1, 0)),
+        "out": _Option(str, "selfconsistent"),
     },
     "sweep": {
-        "scenario": (str, "model1-plain"),
-        "resolution": (int, 51),
-        "runs_per_cell": (int, None),
-        "engine": (str, "exact"),
-        "ensemble_size": (int, 1000),
-        "seed": (int, 0),
-        "vc": (float, 0.1),
-        "inner_steps": (int, 20),
-        "turns": (int, 20),
-        "plain_steps": (int, None),
-        "start": (_parse_start, (1, 0)),
-        "threads": (int, 1),
-        "outdir": (str, None),
-        "pgm": (_parse_bool, False),
+        "scenario": _Option(_OneOf(Scenario), "model1-plain"),
+        "resolution": _Option(int, 51),
+        "runs_per_cell": _Option(int),
+        "engine": _Option(_OneOf(Engine), "exact"),
+        "ensemble_size": _Option(int, 1000),
+        "seed": _Option(int, 0),
+        "vc": _Option(float, 0.1),
+        "inner_steps": _Option(int, 20),
+        "turns": _Option(int, 20),
+        "plain_steps": _Option(int),
+        "start": _Option(_parse_start, (1, 0)),
+        "threads": _Option(int, 1, "worker processes sharing Monte Carlo stacks (default 1)"),
+        "outdir": _Option(str),
+        "pgm": _Option(_parse_bool, False, "also write PGM heatmaps"),
     },
     "audit-kernel": {
-        "model": (int, 1),
-        "param": (float, 0.5),
-        "param2": (float, None),
-        "couple": (_parse_bool, False),
-        "out": (str, None),
+        "model": _Option(_OneOf(Model), 1),
+        "param": _Option(float, 0.5, "table parameter (a or s)"),
+        "param2": _Option(float, None, "partner 2 parameter for --couple"),
+        "couple": _Option(_parse_bool, False,
+                          "dump the 16x16 couple kernel instead of the 4-state table"),
+        "out": _Option(str, None, "CSV path (default: stdout)"),
     },
 }
 
 
-def _load_config(path: str, schema: dict[str, tuple]) -> dict:
+def _load_config(path: str, schema: dict[str, _Option]) -> dict:
+    try:
+        content = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(content.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -126,82 +162,60 @@ def _load_config(path: str, schema: dict[str, tuple]) -> dict:
         text = text.strip().strip("\"'")
         if key not in schema:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        converter = schema[key][0]
         try:
-            values[key] = converter(text)
-        except (ValueError, ConfigError) as exc:
+            values[key] = schema[key].convert(text)
+        except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     schema = _SCHEMAS[command]
-    resolved = {key: default for key, (_, default) in schema.items()}
+    resolved = {key: option.default for key, option in schema.items()}
     if args.config:
         resolved.update(_load_config(args.config, schema))
-    for key in schema:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = cli_value
+    resolved.update((key, value) for key, value in vars(args).items()
+                    if key in schema and value is not None)
     return resolved
 
 
-def _model(number: int) -> Model:
-    try:
-        return Model(number)
-    except ValueError as exc:
-        raise ConfigError(f"model must be 1 or 2, got {number!r}") from exc
-
-
-def _enum(cls, text: str, what: str):
-    try:
-        return cls(text)
-    except ValueError as exc:
-        choices = ", ".join(member.value for member in cls)
-        raise ConfigError(f"{what} must be one of: {choices}; got {text!r}") from exc
-
-
-def _meta(cfg: dict) -> dict:
-    return {key: ("" if value is None else value) for key, value in cfg.items()}
-
-
 def _cmd_trajectory(cfg: dict) -> int:
-    params = ModelParams(model=_model(cfg["model"]), p1=cfg["p1"], p2=cfg["p2"])
+    params = ModelParams(model=Model(cfg["model"]), p1=cfg["p1"], p2=cfg["p2"])
     trajectory = sample_trajectory(cfg["start"], params, cfg["steps"], cfg["seed"])
     for line in format_trajectory(trajectory):
         print(line)
     prefix = Path(cfg["out"])
     write_trajectory_text(prefix.with_suffix(".txt"), trajectory)
     write_trajectory_csv(prefix.with_suffix(".csv"), trajectory)
-    write_meta(Path(str(prefix) + "_meta.txt"), _meta(cfg))
+    write_meta(Path(str(prefix) + "_meta.txt"), cfg)
     return 0
 
 
 def _cmd_evolve(cfg: dict) -> int:
-    params = ModelParams(model=_model(cfg["model"]), p1=cfg["p1"], p2=cfg["p2"])
+    params = ModelParams(model=Model(cfg["model"]), p1=cfg["p1"], p2=cfg["p2"])
     kernel = build_couple_kernel(params)
     trace = evolve_trace(delta_distribution(cfg["start"]), kernel, cfg["steps"])
     prefix = Path(cfg["out"])
     write_distribution_trace_csv(prefix.with_suffix(".csv"), trace)
-    write_meta(Path(str(prefix) + "_meta.txt"), _meta(cfg))
+    write_meta(Path(str(prefix) + "_meta.txt"), cfg)
     print(f"wrote {prefix.with_suffix('.csv')}")
     return 0
 
 
 def _cmd_selfconsistent(cfg: dict) -> int:
-    params = ModelParams(model=_model(cfg["model"]), p1=cfg["p1"], p2=cfg["p2"])
+    params = ModelParams(model=Model(cfg["model"]), p1=cfg["p1"], p2=cfg["p2"])
     config = FeedbackConfig(
         vc=cfg["vc"],
         inner_steps=cfg["inner_steps"],
         turns=cfg["turns"],
-        gender_mode=_enum(GenderMode, cfg["gender_mode"], "gender-mode"),
-        engine=_enum(Engine, cfg["engine"], "engine"),
+        gender_mode=GenderMode(cfg["gender_mode"]),
+        engine=Engine(cfg["engine"]),
         ensemble_size=cfg["ensemble_size"],
     )
     trace = self_consistent_run(params, config, start=cfg["start"], master_seed=cfg["seed"])
     prefix = Path(cfg["out"])
     write_feedback_csv(prefix.with_suffix(".csv"), trace)
-    write_meta(Path(str(prefix) + "_meta.txt"), _meta(cfg))
+    write_meta(Path(str(prefix) + "_meta.txt"), cfg)
     last = trace[-1]
     print(f"final p1={last.p1:.6f} p2={last.p2:.6f} v1={last.v1:.6f} v2={last.v2:.6f}")
     print(f"wrote {prefix.with_suffix('.csv')}")
@@ -209,12 +223,12 @@ def _cmd_selfconsistent(cfg: dict) -> int:
 
 
 def _cmd_sweep(cfg: dict) -> int:
-    scenario = _enum(Scenario, cfg["scenario"], "scenario")
+    scenario = Scenario(cfg["scenario"])
     spec = SweepSpec(
         scenario=scenario,
         resolution=cfg["resolution"],
         runs_per_cell=cfg["runs_per_cell"],
-        engine=_enum(Engine, cfg["engine"], "engine"),
+        engine=Engine(cfg["engine"]),
         ensemble_size=cfg["ensemble_size"],
         master_seed=cfg["seed"],
         vc=cfg["vc"],
@@ -232,13 +246,13 @@ def _cmd_sweep(cfg: dict) -> int:
         if cfg["pgm"]:
             write_pgm(outdir / f"{name}.pgm", grid.fields[name])
     write_long_csv(outdir / "combined.csv", grid.fields, axis)
-    write_meta(outdir / "meta.txt", _meta(cfg))
+    write_meta(outdir / "meta.txt", cfg)
     print(f"wrote {len(spec.field_names)} field grids to {outdir}")
     return 0
 
 
 def _cmd_audit_kernel(cfg: dict) -> int:
-    model = _model(cfg["model"])
+    model = Model(cfg["model"])
     if cfg["couple"]:
         p2 = cfg["param"] if cfg["param2"] is None else cfg["param2"]
         kernel = build_couple_kernel(ModelParams(model=model, p1=cfg["param"], p2=p2))
@@ -258,11 +272,11 @@ def _cmd_audit_kernel(cfg: dict) -> int:
 
 
 _COMMANDS = {
-    "trajectory": _cmd_trajectory,
-    "evolve": _cmd_evolve,
-    "selfconsistent": _cmd_selfconsistent,
-    "sweep": _cmd_sweep,
-    "audit-kernel": _cmd_audit_kernel,
+    "trajectory": (_cmd_trajectory, "sample one stochastic trajectory"),
+    "evolve": (_cmd_evolve, "evolve the exact 16-state distribution"),
+    "selfconsistent": (_cmd_selfconsistent, "run the mean-field feedback loop"),
+    "sweep": (_cmd_sweep, "scan the (p1, p2) parameter plane"),
+    "audit-kernel": (_cmd_audit_kernel, "dump nonzero kernel entries as CSV"),
 }
 
 
@@ -273,69 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
         "self-consistent feedback, and phase-diagram sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat key = value config file")
-        return p
-
-    p = add("trajectory", "sample one stochastic trajectory")
-    p.add_argument("--model", type=int, choices=(1, 2))
-    p.add_argument("--p1", "--a1", "--s1", dest="p1", type=float)
-    p.add_argument("--p2", "--a2", "--s2", dest="p2", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--start", type=_parse_start, help="initial couple state, e.g. 1,0")
-    p.add_argument("--out", help="output prefix for .txt/.csv files")
-
-    p = add("evolve", "evolve the exact 16-state distribution")
-    p.add_argument("--model", type=int, choices=(1, 2))
-    p.add_argument("--p1", "--a1", "--s1", dest="p1", type=float)
-    p.add_argument("--p2", "--a2", "--s2", dest="p2", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--start", type=_parse_start)
-    p.add_argument("--out", help="output prefix for the trace CSV")
-
-    p = add("selfconsistent", "run the mean-field feedback loop")
-    p.add_argument("--model", type=int, choices=(1, 2))
-    p.add_argument("--p1", "--a1", "--s1", dest="p1", type=float)
-    p.add_argument("--p2", "--a2", "--s2", dest="p2", type=float)
-    p.add_argument("--vc", type=float)
-    p.add_argument("--inner-steps", dest="inner_steps", type=int)
-    p.add_argument("--turns", type=int)
-    p.add_argument("--gender-mode", dest="gender_mode", choices=("blind", "specific"))
-    p.add_argument("--engine", choices=("exact", "monte-carlo"))
-    p.add_argument("--ensemble-size", dest="ensemble_size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--start", type=_parse_start)
-    p.add_argument("--out")
-
-    p = add("sweep", "scan the (p1, p2) parameter plane")
-    p.add_argument("--scenario", choices=[s.value for s in Scenario])
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--runs-per-cell", dest="runs_per_cell", type=int)
-    p.add_argument("--engine", choices=("exact", "monte-carlo"))
-    p.add_argument("--ensemble-size", dest="ensemble_size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--vc", type=float)
-    p.add_argument("--inner-steps", dest="inner_steps", type=int)
-    p.add_argument("--turns", type=int)
-    p.add_argument("--plain-steps", dest="plain_steps", type=int)
-    p.add_argument("--start", type=_parse_start)
-    p.add_argument("--threads", type=int,
-                   help="worker processes sharing Monte Carlo stacks (default 1)")
-    p.add_argument("--outdir")
-    p.add_argument("--pgm", action="store_true", default=None,
-                   help="also write PGM heatmaps")
-
-    p = add("audit-kernel", "dump nonzero kernel entries as CSV")
-    p.add_argument("--model", type=int, choices=(1, 2))
-    p.add_argument("--param", type=float, help="table parameter (a or s)")
-    p.add_argument("--param2", type=float, help="partner 2 parameter for --couple")
-    p.add_argument("--couple", action="store_true", default=None,
-                   help="dump the 16x16 couple kernel instead of the 4-state table")
-    p.add_argument("--out", help="CSV path (default: stdout)")
-
+        for key, option in _SCHEMAS[command].items():
+            flags = ("--" + key.replace("_", "-"), *option.aliases)
+            kind = (dict(action="store_true") if option.convert is _parse_bool else
+                    dict(type=option.convert, choices=getattr(option.convert, "choices", None)))
+            p.add_argument(*flags, dest=key, default=None, help=option.help, **kind)
     return parser
 
 
@@ -347,8 +306,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve(args, args.command)
-        return _COMMANDS[args.command](cfg)
-    except (ConfigError, ValueError) as exc:
+        return _COMMANDS[args.command][0](cfg)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 3

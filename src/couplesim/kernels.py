@@ -92,7 +92,7 @@ _AFFINE = {m: _affine_tensors(m) for m in Model}
 
 
 def tau(model: Model, s_next: int, s_self: int, s_partner: int, param: float) -> float:
-    """One entry of the individual transition table."""
+    """Entry tau(s_next | s_self, s_partner; param) of `model`'s individual table."""
     validate_state(s_next)
     validate_state(s_self)
     validate_state(s_partner)
@@ -100,16 +100,6 @@ def tau(model: Model, s_next: int, s_self: int, s_partner: int, param: float) ->
     const, slope = _AFFINE[model]
     return float(const[s_self + 1, s_partner + 1, s_next + 1]
                  + slope[s_self + 1, s_partner + 1, s_next + 1] * param)
-
-
-def tau1(s_next: int, s_self: int, s_partner: int, a: float) -> float:
-    """Aggression-model entry tau(s_next | s_self, s_partner; a)."""
-    return tau(Model.AGGRESSION, s_next, s_self, s_partner, a)
-
-
-def tau3(s_next: int, s_self: int, s_partner: int, supp: float) -> float:
-    """Support-model entry tau3(s_next | s_self, s_partner; s)."""
-    return tau(Model.SUPPORT, s_next, s_self, s_partner, supp)
 
 
 def individual_kernels(model: Model, params, name: str = "param") -> np.ndarray:

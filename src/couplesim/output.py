@@ -102,5 +102,6 @@ def write_feedback_csv(path: Path | str, trace: FeedbackTrace) -> None:
 
 
 def write_meta(path: Path | str, config: Mapping[str, object]) -> None:
-    """Echo a resolved configuration as flat `key = value` lines."""
-    _write_lines(path, (f"{key} = {_fmt(value)}" for key, value in config.items()))
+    """Echo a resolved configuration as flat `key = value` lines; None is left empty."""
+    _write_lines(path, (f"{key} = {'' if value is None else _fmt(value)}"
+                        for key, value in config.items()))

@@ -174,6 +174,8 @@ def _stack_fields(spec: SweepSpec, pairs: range) -> np.ndarray:
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
     """Scan the full grid; workers > 1 spreads Monte Carlo stacks, never changing the output."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     runs, exact = spec.effective_runs, spec.engine is Engine.EXACT
     pairs = spec.resolution**2 * runs
     size = STACK_CELLS if exact else max(1, STACK_TRAJECTORIES // spec.ensemble_size)

@@ -1,6 +1,7 @@
 import pytest
 
-from couplesim.cli import main
+from couplesim.cli import _resolve, build_parser, main
+from couplesim.output import write_meta
 
 
 def run_cli(capsys, *argv):
@@ -202,3 +203,143 @@ def test_unwritable_outdir_exits_3(capsys, tmp_path):
     )
     assert code == 3
     assert "runtime error" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv,config_text",
+    [(["--start", "foo"], None), (["--start", "1,2,3"], None), ([], "start = foo\n")],
+    ids=["flag-foo", "flag-1,2,3", "config-foo"],
+)
+def test_malformed_start_exits_2(capsys, tmp_path, argv, config_text):
+    if config_text is not None:
+        config = tmp_path / "run.cfg"
+        config.write_text(config_text)
+        argv = ["--config", str(config)]
+    code, _, stderr = run_cli(capsys, "trajectory", *argv, "--out", str(tmp_path / "t"))
+    assert code == 2
+    assert "start must look like '1,0'" in stderr
+
+
+@pytest.mark.parametrize("missing", ["no/such/file.cfg", "."])
+def test_unreadable_config_exits_2(capsys, tmp_path, missing):
+    code, _, stderr = run_cli(capsys, "trajectory", "--config", str(tmp_path / missing))
+    assert code == 2
+    assert "cannot read config file" in stderr
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_sweep_rejects_fewer_than_one_thread(capsys, tmp_path, threads):
+    outdir = tmp_path / "out"
+    code, _, stderr = run_cli(
+        capsys, "sweep", "--resolution", "2", "--threads", threads, "--outdir", str(outdir)
+    )
+    assert code == 2
+    assert "workers must be at least 1" in stderr
+    assert not outdir.exists()
+
+
+# Every command's option strings and choices, in help order.
+SURFACE = {
+    "trajectory": [
+        ("--config", None), ("--model", [1, 2]), ("--p1 --a1 --s1", None),
+        ("--p2 --a2 --s2", None), ("--steps", None), ("--seed", None), ("--start", None),
+        ("--out", None),
+    ],
+    "evolve": [
+        ("--config", None), ("--model", [1, 2]), ("--p1 --a1 --s1", None),
+        ("--p2 --a2 --s2", None), ("--steps", None), ("--start", None), ("--out", None),
+    ],
+    "selfconsistent": [
+        ("--config", None), ("--model", [1, 2]), ("--p1 --a1 --s1", None),
+        ("--p2 --a2 --s2", None), ("--vc", None), ("--inner-steps", None), ("--turns", None),
+        ("--gender-mode", ["blind", "specific"]), ("--engine", ["exact", "monte-carlo"]),
+        ("--ensemble-size", None), ("--seed", None), ("--start", None), ("--out", None),
+    ],
+    "sweep": [
+        ("--config", None),
+        ("--scenario", ["model1-plain", "model1-sc-blind", "model1-sc-gender",
+                        "model2-plain", "model2-sc-blind", "model2-sc-gender"]),
+        ("--resolution", None), ("--runs-per-cell", None),
+        ("--engine", ["exact", "monte-carlo"]), ("--ensemble-size", None), ("--seed", None),
+        ("--vc", None), ("--inner-steps", None), ("--turns", None), ("--plain-steps", None),
+        ("--start", None), ("--threads", None), ("--outdir", None), ("--pgm", None),
+    ],
+    "audit-kernel": [
+        ("--config", None), ("--model", [1, 2]), ("--param", None), ("--param2", None),
+        ("--couple", None), ("--out", None),
+    ],
+}
+SWITCHES = {"--config", "--pgm", "--couple"}
+
+# Two distinct non-default values per option: one for the file, one for the flag.
+SAMPLES = {
+    "model": ("2", "1"), "p1": ("0.25", "0.75"), "p2": ("0.125", "0.625"),
+    "steps": ("7", "3"), "seed": ("5", "-2"), "start": ("0,2", "-1,1"), "out": ("a", "b"),
+    "vc": ("0.2", "0.05"), "inner_steps": ("4", "9"), "turns": ("6", "2"),
+    "gender_mode": ("specific", "blind"), "engine": ("monte-carlo", "exact"),
+    "ensemble_size": ("50", "70"), "scenario": ("model2-plain", "model1-sc-blind"),
+    "resolution": ("3", "4"), "runs_per_cell": ("2", "3"), "plain_steps": ("9", "11"),
+    "threads": ("2", "3"), "outdir": ("d", "e"), "param": ("0.25", "0.75"),
+    "param2": ("0.125", "0.625"),
+}
+
+
+def _subparsers():
+    return build_parser()._subparsers._group_actions[0].choices
+
+
+def test_parser_surface_is_pinned():
+    surface = {
+        command: [
+            (" ".join(action.option_strings), action.choices and list(action.choices))
+            for action in sub._actions if action.dest != "help"
+        ]
+        for command, sub in _subparsers().items()
+    }
+    assert surface == SURFACE
+
+
+def _meta_lines(tmp_path, command, *argv):
+    path = tmp_path / "meta.txt"
+    write_meta(path, _resolve(build_parser().parse_args([command, *argv]), command))
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [(command, flags.split()[0][2:].replace("-", "_")) for command, options in SURFACE.items()
+     for flags, _ in options if flags not in SWITCHES],
+)
+def test_flag_and_config_key_give_the_same_meta_line(tmp_path, command, key):
+    flag = "--" + key.replace("_", "-")
+    in_file, on_line = SAMPLES[key]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {in_file}\n")
+    default = _meta_lines(tmp_path, command)
+    from_file = _meta_lines(tmp_path, command, "--config", str(config))
+    assert from_file == _meta_lines(tmp_path, command, f"{flag}={in_file}")
+    changed = [i for i, (a, b) in enumerate(zip(default, from_file)) if a != b]
+    assert len(changed) == 1 and from_file[changed[0]].startswith(f"{key} = ")
+    flag_wins = _meta_lines(tmp_path, command, "--config", str(config), f"{flag}={on_line}")
+    assert flag_wins == _meta_lines(tmp_path, command, f"{flag}={on_line}") != from_file
+
+
+def test_default_sweep_meta_is_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "sweep")[0] == 0
+    assert (tmp_path / "sweep-model1-plain" / "meta.txt").read_text() == (
+        "scenario = model1-plain\n"
+        "resolution = 51\n"
+        "runs_per_cell = \n"
+        "engine = exact\n"
+        "ensemble_size = 1000\n"
+        "seed = 0\n"
+        "vc = 0.1\n"
+        "inner_steps = 20\n"
+        "turns = 20\n"
+        "plain_steps = \n"
+        "start = (1, 0)\n"
+        "threads = 1\n"
+        "outdir = \n"
+        "pgm = false\n"
+    )

@@ -9,42 +9,46 @@ from couplesim import (
     encode,
     garden_of_eden_states,
     individual_kernel,
-    tau1,
-    tau3,
+    tau,
 )
 from couplesim.kernels import iter_couple_entries, iter_individual_entries
 
 from kernel_tables import AGGRESSION_TABLE, SUPPORT_TABLE, expected_nonzero
 
 
+# tau1 and tau3 are the paper's names for the aggression and support tables.
 def test_tau1_tabulated_values():
-    assert tau1(2, 1, 0, 0.3) == pytest.approx(0.225, abs=1e-15)
-    assert tau1(-1, 1, 0, 0.0) == 1.0
-    assert tau1(0, 0, 0, 0.7) == 1.0
-    assert tau1(1, 0, 1, 0.4) == pytest.approx(0.1, abs=1e-15)
+    assert tau(Model.AGGRESSION, 2, 1, 0, 0.3) == pytest.approx(0.225, abs=1e-15)
+    assert tau(Model.AGGRESSION, -1, 1, 0, 0.0) == 1.0
+    assert tau(Model.AGGRESSION, 0, 0, 0, 0.7) == 1.0
+    assert tau(Model.AGGRESSION, 1, 0, 1, 0.4) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_tau3_tabulated_values():
-    assert tau3(-1, 1, -1, 0.9) == 0.5
-    assert tau3(2, 1, 1, 0.2) == pytest.approx(0.8, abs=1e-15)
-    assert tau3(0, 2, 2, 0.6) == pytest.approx(0.6, abs=1e-15)
+    assert tau(Model.SUPPORT, -1, 1, -1, 0.9) == 0.5
+    assert tau(Model.SUPPORT, 2, 1, 1, 0.2) == pytest.approx(0.8, abs=1e-15)
+    assert tau(Model.SUPPORT, 0, 2, 2, 0.6) == pytest.approx(0.6, abs=1e-15)
 
 
 def test_tau_rejects_bad_param():
     with pytest.raises(ValueError):
-        tau1(0, 0, 0, 1.5)
+        tau(Model.AGGRESSION, 0, 0, 0, 1.5)
     with pytest.raises(ValueError):
-        tau3(0, 0, 0, -0.2)
+        tau(Model.SUPPORT, 0, 0, 0, -0.2)
     with pytest.raises(ValueError):
-        tau1(3, 0, 0, 0.5)
+        tau(Model.AGGRESSION, 3, 0, 0, 0.5)
 
 
-@pytest.mark.parametrize("table,fn", [(AGGRESSION_TABLE, tau1), (SUPPORT_TABLE, tau3)])
+@pytest.mark.parametrize(
+    "table,model",
+    [(AGGRESSION_TABLE, Model.AGGRESSION), (SUPPORT_TABLE, Model.SUPPORT)],
+    ids=["table0-tau1", "table1-tau3"],
+)
 @pytest.mark.parametrize("param", [0.0, 0.25, 0.5, 0.81, 1.0])
-def test_tables_match_transcription(table, fn, param):
+def test_tables_match_transcription(table, model, param):
     for (s_next, s_self, s_partner), expression in table.items():
         expected = eval(expression, {"__builtins__": {}}, {"a": param, "s": param})
-        assert fn(s_next, s_self, s_partner, param) == pytest.approx(expected, abs=1e-15)
+        assert tau(model, s_next, s_self, s_partner, param) == pytest.approx(expected, abs=1e-15)
 
 
 def test_individual_rows_sum_to_one():

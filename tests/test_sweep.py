@@ -109,6 +109,14 @@ def test_monte_carlo_sweep_is_deterministic_across_worker_counts():
         assert np.array_equal(serial.fields[name], rerun.fields[name])
 
 
+@pytest.mark.parametrize("engine", list(Engine))
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_sweep_rejects_fewer_than_one_worker(engine, workers):
+    spec = small(Scenario.MODEL2_PLAIN, resolution=2, engine=engine, ensemble_size=10)
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep(spec, workers=workers)
+
+
 def test_transpose_symmetry_with_swapped_start():
     spec = small(Scenario.MODEL1_PLAIN, resolution=7)
     forward = run_sweep(spec)
