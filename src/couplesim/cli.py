@@ -237,9 +237,11 @@ def _cmd_sweep(cfg: dict) -> int:
         plain_steps=cfg["plain_steps"],
         start=cfg["start"],
     )
-    grid = run_sweep(spec, workers=cfg["threads"])
+    if cfg["threads"] < 1:  # as run_sweep would, but before the directory exists
+        raise ValueError(f"workers must be at least 1, got {cfg['threads']}")
     outdir = Path(cfg["outdir"] or f"sweep-{scenario.value}")
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir.mkdir(parents=True, exist_ok=True)  # a bad outdir fails before the computation
+    grid = run_sweep(spec, workers=cfg["threads"])
     axis = spec.grid
     for name in spec.field_names:
         write_matrix_csv(outdir / f"{name}.csv", grid.fields[name], axis)

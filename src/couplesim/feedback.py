@@ -20,6 +20,9 @@ Both engines run a stack of N cells at once; one cell is the stack N = 1.
 The exact engine evolves (N,16) distributions and updates p as arrays; the
 Monte Carlo engine samples the N ensembles as one and updates each cell's
 p on Python floats (libm `**`), so a cell gives the same bits in any stack.
+f and g fix 0 and 1 exactly, so a cell with both p at 0 or 1 sits at a fixed
+point: sweeps measure such a cell only at the final turn, while traces
+(self_consistent_run) measure every turn.
 """
 
 from __future__ import annotations
@@ -119,7 +122,8 @@ def exact_fields(model: Model, p1, p2, start: CoupleState, steps: int) -> np.nda
 
 
 def feedback_turns(
-    model: Model, p1, p2, config: FeedbackConfig, start: CoupleState = (1, 0), master_seed=0
+    model: Model, p1, p2, config: FeedbackConfig, start: CoupleState = (1, 0), master_seed=0,
+    _skip_settled: bool = False,
 ) -> Iterator[tuple]:
     """Yield (p1, p2, fields) for turns 0..config.turns, updating in between.
 
@@ -128,24 +132,29 @@ def feedback_turns(
     seed; the Monte Carlo engine measures turn k of cell n on seed
     derive_seed(master_seed[n], k) (master_seed: length N, or one int).
     The v1, v2 columns are clipped to [0, 1] before they feed the update.
+    With _skip_settled, turns before the last measure and update only the
+    cells not at a corner of [0,1]^2, and their fields hold just those rows.
     """
     f_or_g = f_update if model is Model.AGGRESSION else g_update
     if config.engine is Engine.EXACT:
-        def measure(turn, p1, p2):
+        def measure(turn, p1, p2, moving):
             return exact_fields(model, p1, p2, start, config.inner_steps)
         update = f_or_g
     else:
-        def measure(turn, p1, p2):
+        def measure(turn, p1, p2, moving):
+            seeds = np.broadcast_to(derive_seed_array(master_seed, turn), moving.shape)
             dist = estimate_distributions(
-                start, model, p1, p2, config.inner_steps, config.ensemble_size,
-                derive_seed_array(master_seed, turn),
+                start, model, p1, p2, config.inner_steps, config.ensemble_size, seeds[moving]
             )
             return read_fields(model, dist, p1, p2)
 
         def update(p, v, vc):  # libm's pow: numpy's array power can differ in the last bit
             return np.array([f_or_g(a, b, vc) for a, b in zip(p.tolist(), v.tolist())])
     for turn in range(config.turns + 1):
-        fields = measure(turn, p1, p2)
+        moving = np.ones(len(p1), dtype=bool)
+        if _skip_settled and turn < config.turns:
+            moving = ~(np.isin(p1, (0.0, 1.0)) & np.isin(p2, (0.0, 1.0)))
+        fields = measure(turn, p1[moving], p2[moving], moving)
         # the unrenormalized evolution can leave v outside [0,1] by ~1e-16
         fields[:, -2:] = np.clip(fields[:, -2:], 0.0, 1.0)
         yield p1, p2, fields
@@ -154,7 +163,9 @@ def feedback_turns(
         v1, v2 = fields[:, -2], fields[:, -1]
         if config.gender_mode is GenderMode.BLIND:
             v1 = v2 = (v1 + v2) / 2.0
-        p1, p2 = update(p1, v1, config.vc), update(p2, v2, config.vc)
+        p1, p2 = p1.copy(), p2.copy()
+        p1[moving] = update(p1[moving], v1, config.vc)
+        p2[moving] = update(p2[moving], v2, config.vc)
 
 
 def self_consistent_run(

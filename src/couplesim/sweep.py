@@ -8,7 +8,9 @@ stacks of at most STACK_CELLS cells, in-process. Monte Carlo pair (i, j, r)
 samples on seed derive_seed(master_seed, i, j, r) in stacks of at most
 STACK_TRAJECTORIES trajectories; workers > 1 spreads whole stacks over
 processes, merged positionally. A cell's values, the run-ordered average of
-its runs, depend neither on its stack nor on the worker count.
+its runs, depend neither on its stack nor on the worker count. A
+self-consistent stack measures a (cell, run) pair whose p1 and p2 both sit
+at 0 or 1, a fixed point of the feedback map, only at the final turn.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ def _stack_fields(spec: SweepSpec, pairs: range) -> np.ndarray:
     seeds = None if exact else derive_seed_array(spec.master_seed, i, j, run)
     if spec.scenario.self_consistent:
         *_, (_, _, fields) = feedback_turns(
-            model, p1, p2, spec.feedback_config(), spec.start, seeds
+            model, p1, p2, spec.feedback_config(), spec.start, seeds, _skip_settled=True
         )
         return fields
     steps = spec.effective_plain_steps

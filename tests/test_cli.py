@@ -1,5 +1,6 @@
 import pytest
 
+from couplesim import cli
 from couplesim.cli import _resolve, build_parser, main
 from couplesim.output import write_meta
 
@@ -203,6 +204,21 @@ def test_unwritable_outdir_exits_3(capsys, tmp_path):
     )
     assert code == 3
     assert "runtime error" in stderr
+
+
+def test_unwritable_outdir_fails_before_computing(capsys, tmp_path, monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    code, _, stderr = run_cli(
+        capsys, "sweep", "--scenario", "model2-sc-gender", "--outdir", str(blocker)
+    )
+    assert code == 3
+    assert "runtime error" in stderr and "sweep ran" not in stderr
 
 
 @pytest.mark.parametrize(

@@ -78,6 +78,27 @@ def test_array_updates_match_scalar_form(vc, pairs):
     assert np.abs(g_update(p, at_threshold, vc) - p).max() <= 2.0**-53
 
 
+@given(unit, unit)
+def test_updates_fix_zero_and_one_exactly(v, vc):
+    # sweeps stop measuring a cell once both of its parameters sit at 0 or 1;
+    # the Monte Carlo engine updates on Python floats, the exact one on arrays
+    for fn in (f_update, g_update):
+        for p in (0.0, 1.0):
+            scalar = fn(p, v, vc)
+            stacked = fn(np.array([p, p]), np.array([v, v]), vc)
+            assert type(scalar) is float and scalar == p and math.copysign(1.0, scalar) == 1.0
+            assert stacked.tolist() == [p, p] and not np.signbit(stacked).any()
+
+
+@given(unit, unit, unit, unit)
+def test_updates_are_non_decreasing_in_the_parameter(p, q, v, vc):
+    lo, hi = min(p, q), max(p, q)
+    for fn in (f_update, g_update):
+        assert fn(lo, v, vc) <= fn(hi, v, vc)
+        low, high = fn(np.array([lo, hi]), np.array([v, v]), vc)
+        assert low <= high
+
+
 def test_update_rejects_out_of_range():
     with pytest.raises(ValueError):
         f_update(1.2, 0.5, 0.1)

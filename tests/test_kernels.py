@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from couplesim import (
     Model,
@@ -11,7 +13,7 @@ from couplesim import (
     individual_kernel,
     tau,
 )
-from couplesim.kernels import iter_couple_entries, iter_individual_entries
+from couplesim.kernels import couple_kernels, iter_couple_entries, iter_individual_entries
 
 from kernel_tables import AGGRESSION_TABLE, SUPPORT_TABLE, expected_nonzero
 
@@ -66,6 +68,19 @@ def test_couple_rows_sum_to_one():
             p1, p2 = rng.random(2)
             kernel = build_couple_kernel(ModelParams(model, float(p1), float(p2)))
             assert np.abs(kernel.matrix.sum(axis=1) - 1.0).max() < 1e-12
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@given(st.lists(st.tuples(unit, unit), min_size=1, max_size=32))
+def test_couple_kernels_are_row_stochastic_for_any_parameters(pairs):
+    p1, p2 = np.array(pairs).T
+    for model in Model:
+        kernels = couple_kernels(model, p1, p2)
+        assert kernels.shape == (len(pairs), 16, 16)
+        assert (kernels >= 0.0).all()
+        assert np.abs(kernels.sum(axis=2) - 1.0).max() <= 1e-15
 
 
 def test_couple_kernel_is_exact_product():

@@ -3,6 +3,7 @@ import pytest
 
 from couplesim import (
     Engine,
+    FeedbackConfig,
     Model,
     ModelParams,
     Scenario,
@@ -20,8 +21,9 @@ from couplesim import (
     self_consistent_run,
     violent_marginals,
 )
-from couplesim import sweep
+from couplesim import feedback, sweep
 from couplesim.observables import read_fields
+from couplesim.rng import derive_seed_array
 
 
 def small(scenario, **kw):
@@ -259,3 +261,62 @@ def test_monte_carlo_stack_bound_does_not_change_results(scenario, monkeypatch):
         resplit = run_sweep(spec)
         for name in spec.field_names:
             assert np.array_equal(grid.fields[name], resplit.fields[name]), (pairs, name)
+
+
+def _record_measurements(monkeypatch, engine):
+    """Log (p1, p2, seeds) of every measurement the feedback loop makes; seeds is None if exact."""
+    name, first = ("exact_fields", 1) if engine is Engine.EXACT else ("estimate_distributions", 2)
+    original, calls = getattr(feedback, name), []
+
+    def spy(*args):
+        p1, p2 = args[first:first + 2]
+        calls.append((p1.copy(), p2.copy(), None if engine is Engine.EXACT else args[-1].copy()))
+        return original(*args)
+
+    monkeypatch.setattr(feedback, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("engine", list(Engine))
+def test_sweep_measures_settled_cells_only_at_the_last_turn(engine, monkeypatch):
+    spec = SweepSpec(
+        Scenario.MODEL1_SC_BLIND, resolution=4, runs_per_cell=2, engine=engine,
+        ensemble_size=200, master_seed=9, inner_steps=6, turns=8,
+    )
+    runs = spec.effective_runs
+    cell, run = np.divmod(np.arange(spec.resolution**2 * runs), runs)
+    i, j = np.divmod(cell, spec.resolution)
+    seeds = derive_seed_array(spec.master_seed, i, j, run)
+    # the same stack with every cell measured at every turn
+    full = list(feedback.feedback_turns(
+        spec.scenario.model, spec.grid[i], spec.grid[j], spec.feedback_config(), spec.start, seeds
+    ))
+    calls = _record_measurements(monkeypatch, engine)
+    grid = run_sweep(spec)  # one stack
+    assert len(calls) == spec.turns + 1
+    measured = []
+    for turn, ((p1, p2, fields), (q1, q2, q_seeds)) in enumerate(zip(full, calls)):
+        moving = ~(np.isin(p1, (0.0, 1.0)) & np.isin(p2, (0.0, 1.0)))
+        if turn == spec.turns:
+            moving[:] = True
+        assert np.array_equal(q1, p1[moving]) and np.array_equal(q2, p2[moving]), turn
+        if engine is Engine.MONTE_CARLO:
+            assert np.array_equal(q_seeds, derive_seed_array(seeds, turn)[moving]), turn
+        measured.append(len(q1))
+    # the four grid corners start settled; more cells settle on the way
+    assert measured[0] == len(cell) - 4 * runs > measured[-2]
+    assert measured[-1] == len(cell)
+    per_run = full[-1][2].reshape(spec.resolution, spec.resolution, runs, -1)
+    values = sum(per_run[:, :, r] for r in range(runs)) / runs
+    for k, name in enumerate(spec.field_names):
+        assert np.array_equal(grid.fields[name], values[:, :, k]), name
+
+
+def test_monte_carlo_trace_at_a_corner_measures_every_turn(monkeypatch):
+    calls = _record_measurements(monkeypatch, Engine.MONTE_CARLO)
+    config = FeedbackConfig(engine=Engine.MONTE_CARLO, ensemble_size=50, turns=5, inner_steps=4)
+    trace = self_consistent_run(ModelParams(Model.SUPPORT, 0.0, 1.0), config, master_seed=21)
+    assert len(trace) == len(calls) == config.turns + 1
+    for turn, (p1, p2, seeds) in enumerate(calls):
+        assert p1.tolist() == [0.0] and p2.tolist() == [1.0]
+        assert np.ravel(seeds).tolist() == [derive_seed(21, turn)]
