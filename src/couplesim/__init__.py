@@ -18,7 +18,6 @@ from .feedback import (
     self_consistent_run,
 )
 from .kernels import (
-    CoupleKernel,
     absorbing_states,
     build_couple_kernel,
     garden_of_eden_states,
@@ -30,8 +29,6 @@ from .montecarlo import (
     Trajectory,
     estimate_distribution,
     format_trajectory,
-    sample_individual,
-    sample_step,
     sample_trajectory,
 )
 from .observables import (
@@ -43,7 +40,7 @@ from .observables import (
     model2_observables,
     violent_marginals,
 )
-from .rng import DrawStream, counter_uniform, derive_seed
+from .rng import counter_uniform, derive_seed
 from .states import (
     COUPLE_STATES,
     STATE_NAMES,
@@ -66,9 +63,7 @@ from .sweep import (
 __all__ = [
     "AbsorptionBasins",
     "COUPLE_STATES",
-    "CoupleKernel",
     "CoupleState",
-    "DrawStream",
     "Engine",
     "FeedbackConfig",
     "GenderMode",
@@ -104,8 +99,6 @@ __all__ = [
     "model1_basins",
     "model2_observables",
     "run_sweep",
-    "sample_individual",
-    "sample_step",
     "sample_trajectory",
     "self_consistent_run",
     "step",

@@ -148,7 +148,7 @@ _SCHEMAS: dict[str, dict[str, _Option]] = {
 def _load_config(path: str, schema: dict[str, _Option]) -> dict:
     try:
         content = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(content.splitlines(), start=1):
@@ -304,6 +304,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if [] in vars(args).values():  # argparse reads `--key=--` as [] and skips the converter
+            parser.error("an option's value cannot be '--'")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

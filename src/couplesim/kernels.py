@@ -13,7 +13,6 @@ i.e. both partners update in parallel from the old pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
@@ -117,36 +116,24 @@ def individual_kernel(model: Model, param: float) -> np.ndarray:
     return kernel
 
 
-@dataclass(frozen=True)
-class CoupleKernel:
-    """Immutable 16x16 row-stochastic transition matrix for the pair."""
-
-    params: ModelParams
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.matrix.shape != (16, 16):
-            raise ValueError(f"couple kernel must be 16x16, got {self.matrix.shape}")
-        self.matrix.setflags(write=False)
-
-
 def couple_kernels(model: Model, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """(N,16,16) product kernels of N cells with parameters p1[n], p2[n].
+    """Read-only (N,16,16) product kernels of N cells with parameters p1[n], p2[n].
 
     Partner 1 sees partner 2's old state and vice versa. All N tables come
     from one broadcast of the affine const + slope * p tensors.
     """
     k1, k2 = individual_kernels(model, p1, "p1"), individual_kernels(model, p2, "p2")
-    return np.einsum("nabi,nbaj->nabij", k1, k2).reshape(-1, 16, 16)
+    kernels = np.einsum("nabi,nbaj->nabij", k1, k2).reshape(-1, 16, 16)
+    kernels.setflags(write=False)
+    return kernels
 
 
-def build_couple_kernel(params: ModelParams) -> CoupleKernel:
-    """The couple kernel of one cell: couple_kernels with N = 1."""
-    matrix = couple_kernels(params.model, [params.p1], [params.p2])[0]
-    return CoupleKernel(params=params, matrix=matrix)
+def build_couple_kernel(params: ModelParams) -> np.ndarray:
+    """The read-only 16x16 kernel of one cell: couple_kernels with N = 1."""
+    return couple_kernels(params.model, [params.p1], [params.p2])[0]
 
 
-def absorbing_states(kernel: CoupleKernel, tol: float = 1e-12) -> set[CoupleState]:
+def absorbing_states(kernel: np.ndarray, tol: float = 1e-12) -> set[CoupleState]:
     """States whose self-transition probability equals 1.
 
     This reads the matrix literally. The support model's two unreachable
@@ -154,12 +141,12 @@ def absorbing_states(kernel: CoupleKernel, tol: float = 1e-12) -> set[CoupleStat
     therefore reported, even though no dynamics started elsewhere can
     ever enter them (see garden_of_eden_states).
     """
-    diag = np.diag(kernel.matrix)
+    diag = np.diag(kernel)
     return {decode(i) for i in range(16) if diag[i] >= 1.0 - tol}
 
 
 def garden_of_eden_states(
-    kernel: CoupleKernel,
+    kernel: np.ndarray,
     exclude_self_loops: bool = False,
     tol: float = 0.0,
 ) -> set[CoupleState]:
@@ -169,10 +156,9 @@ def garden_of_eden_states(
     not count as incoming transitions; with exclude_self_loops the states
     that do hold a self-loop are additionally dropped from the report.
     """
-    matrix = kernel.matrix
     found = set()
     for j in range(16):
-        column = matrix[:, j].copy()
+        column = kernel[:, j].copy()
         self_prob = column[j]
         column[j] = 0.0
         if column.max() <= tol:
@@ -196,12 +182,12 @@ def iter_individual_entries(
 
 
 def iter_couple_entries(
-    kernel: CoupleKernel,
+    kernel: np.ndarray,
 ) -> Iterator[tuple[int, int, int, int, float]]:
     """Nonzero (s1, s2, s1_next, s2_next, probability) rows for audits."""
     for x in range(16):
         for y in range(16):
-            p = kernel.matrix[x, y]
+            p = kernel[x, y]
             if p != 0.0:
                 s1, s2 = decode(x)
                 t1, t2 = decode(y)

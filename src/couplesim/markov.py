@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import CoupleKernel
 from .states import CoupleState, encode
 
 
@@ -20,18 +19,17 @@ def delta_distribution(state: CoupleState) -> np.ndarray:
     return dist
 
 
-def step(dist: np.ndarray, kernel: CoupleKernel | np.ndarray) -> np.ndarray:
+def step(dist: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """One application of the transition matrix: p'(y) = sum_x M[x,y] p(x).
 
-    kernel is a CoupleKernel, a 16x16 matrix or an (N,16,16) stack matching
-    an (N,16) dist. Each cell is one vector-matrix product whatever N is,
-    so a cell's result does not depend on the stack it sits in.
+    kernel is a 16x16 matrix or an (N,16,16) stack matching an (N,16) dist.
+    Each cell is one vector-matrix product whatever N is, so a cell's
+    result does not depend on the stack it sits in.
     """
-    matrix = kernel.matrix if isinstance(kernel, CoupleKernel) else kernel
-    return (dist[..., None, :] @ matrix)[..., 0, :]
+    return (dist[..., None, :] @ kernel)[..., 0, :]
 
 
-def evolve(dist: np.ndarray, kernel: CoupleKernel | np.ndarray, steps: int) -> np.ndarray:
+def evolve(dist: np.ndarray, kernel: np.ndarray, steps: int) -> np.ndarray:
     """Apply `step` `steps` times; steps=0 returns the input unchanged.
 
     No per-step renormalization is performed, so numerical drift stays
@@ -45,7 +43,7 @@ def evolve(dist: np.ndarray, kernel: CoupleKernel | np.ndarray, steps: int) -> n
     return current
 
 
-def evolve_trace(dist: np.ndarray, kernel: CoupleKernel | np.ndarray, steps: int) -> np.ndarray:
+def evolve_trace(dist: np.ndarray, kernel: np.ndarray, steps: int) -> np.ndarray:
     """(steps+1) x 16 array of the distribution at t = 0..steps."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")

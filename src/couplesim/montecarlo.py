@@ -6,8 +6,9 @@ against the cumulative transition probabilities in the fixed order
 -1, 0, 1, 2. Partner 1 draws first (counter 2t), partner 2 second
 (counter 2t+1); the parallel semantics make the order irrelevant for the
 law of the chain, but fixing it makes trajectories byte-reproducible.
-estimate_distributions samples the ensembles of a stack of N cells as one
-flat ensemble; estimate_distribution is its N = 1 case.
+One walk advances a flat stack of trajectories: estimate_distributions
+samples the ensembles of N cells with it, estimate_distribution is its
+N = 1 case and sample_trajectory its one-trajectory case.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import individual_kernel, individual_kernels
-from .rng import DrawStream, counter_uniform, derive_seed_array
-from .states import STATES, CoupleState, Model, ModelParams, encode
+from .kernels import individual_kernels
+from .rng import counter_uniform, derive_seed_array
+from .states import CoupleState, Model, ModelParams, decode, encode
 
 
 @dataclass(frozen=True)
@@ -30,47 +31,44 @@ class Trajectory:
     states: tuple[CoupleState, ...]
 
 
-def sample_individual(
-    s_self: int, s_partner: int, kernel: np.ndarray, rand: float
-) -> int:
-    """Pick the next individual state by the cumulative threshold rule.
+def _walk(start: CoupleState, model: Model, p1, p2, steps: int, seeds, cells):
+    """Yield every trajectory's flat index 16 * cell + encode(state) at t = 0..steps.
 
-    kernel is a 4x4x4 individual table; rand must lie in [0, 1). Any
-    residual probability (the "otherwise" branch) selects state 2.
+    Trajectory k runs on stream seeds[k] in cell cells[k] (parameters
+    p1[cells[k]], p2[cells[k]]); its draw counters do not depend on the
+    other trajectories, so any stack reproduces the sequential path.
     """
-    if not 0.0 <= rand < 1.0:
-        raise ValueError(f"rand must lie in [0, 1), got {rand!r}")
-    row = kernel[s_self + 1, s_partner + 1]
-    cumulative = np.cumsum(row[:3])
-    return STATES[int((rand >= cumulative).sum())]
-
-
-def sample_step(state: CoupleState, params: ModelParams, stream: DrawStream) -> CoupleState:
-    """Update both partners in parallel; consumes exactly two draws."""
-    k1 = individual_kernel(params.model, params.p1)
-    k2 = individual_kernel(params.model, params.p2)
-    s1, s2 = state
-    r1 = stream.next()
-    r2 = stream.next()
-    n1 = sample_individual(s1, s2, k1, r1)
-    n2 = sample_individual(s2, s1, k2, r2)
-    return (n1, n2)
+    # bounds[k][16 n + 4 x1 + x2] is a partner's k-th cumulative threshold
+    # in cell n at pair state (x1, x2); partner 2's tables are transposed so
+    # that both partners read at the same flat index.
+    cum1 = individual_kernels(model, p1, "p1").cumsum(axis=3)
+    cum2 = individual_kernels(model, p2, "p2").cumsum(axis=3).transpose(0, 2, 1, 3)
+    bounds1, bounds2 = ([cum[..., k].ravel() for k in range(3)] for cum in (cum1, cum2))
+    base = 16 * cells
+    flat = base + encode(start)
+    yield flat
+    for t in range(steps):
+        r1 = counter_uniform(seeds, 2 * t)
+        r2 = counter_uniform(seeds, 2 * t + 1)
+        n1 = sum(r1 >= bound.take(flat) for bound in bounds1)
+        n2 = sum(r2 >= bound.take(flat) for bound in bounds2)
+        flat = base + 4 * n1 + n2
+        yield flat
 
 
 def sample_trajectory(
     start: CoupleState, params: ModelParams, steps: int, seed: int
 ) -> Trajectory:
-    """Reproducible path of `steps` transitions from `start`."""
+    """Reproducible path of `steps` transitions from `start` on stream seed mod 2**64.
+
+    The stacked walk with one cell and one trajectory, every state recorded.
+    """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    encode(start)  # validates
-    stream = DrawStream(seed)
-    states = [start]
-    current = start
-    for _ in range(steps):
-        current = sample_step(current, params, stream)
-        states.append(current)
-    return Trajectory(seed=int(seed), params=params, states=tuple(states))
+    seeds = np.array([int(seed) % 2**64], dtype=np.uint64)
+    walk = _walk(start, params.model, [params.p1], [params.p2], steps, seeds, np.zeros(1, int))
+    states = tuple(decode(int(flat[0])) for flat in walk)
+    return Trajectory(seed=int(seed), params=params, states=states)
 
 
 def estimate_distributions(
@@ -81,29 +79,18 @@ def estimate_distributions(
     Trajectory i of cell n runs on stream derive_seed(master_seeds[n], i)
     (master_seeds: length N, or one int for all), so a cell's result does
     not depend on its stack. All N * ensemble_size trajectories advance
-    together, one step at a time, and match sample_trajectory draw for draw.
+    together, one step at a time; only the last step is kept.
     """
     if ensemble_size < 1:
         raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    # bounds[k][16 n + 4 x1 + x2] is a partner's k-th cumulative threshold
-    # in cell n at pair state (x1, x2); partner 2's tables are transposed so
-    # that both partners read at the same flat index.
-    cum1 = individual_kernels(model, p1, "p1").cumsum(axis=3)
-    cum2 = individual_kernels(model, p2, "p2").cumsum(axis=3).transpose(0, 2, 1, 3)
-    bounds1, bounds2 = ([cum[..., k].ravel() for k in range(3)] for cum in (cum1, cum2))
-    cells = len(cum1)
+    cells = len(p1)
     seeds = derive_seed_array(master_seeds, np.arange(ensemble_size)[:, None])
     seeds = np.broadcast_to(seeds, (ensemble_size, cells)).T.ravel()
-    base = np.repeat(16 * np.arange(cells), ensemble_size)
-    flat = base + encode(start)
-    for t in range(steps):
-        r1 = counter_uniform(seeds, 2 * t)
-        r2 = counter_uniform(seeds, 2 * t + 1)
-        n1 = sum(r1 >= bound.take(flat) for bound in bounds1)
-        n2 = sum(r2 >= bound.take(flat) for bound in bounds2)
-        flat = base + 4 * n1 + n2
+    trajectory_cells = np.repeat(np.arange(cells), ensemble_size)
+    for flat in _walk(start, model, p1, p2, steps, seeds, trajectory_cells):
+        pass
     counts = np.bincount(flat, minlength=16 * cells).reshape(cells, 16)
     return counts / ensemble_size
 

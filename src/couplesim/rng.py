@@ -60,15 +60,3 @@ def counter_uniform(seed, counter) -> np.ndarray:
         bits = _mix(seed + _GAMMA * (counter + np.uint64(1)))
     return (bits >> np.uint64(11)) * 2.0**-53
 
-
-class DrawStream:
-    """Sequential view of a counter-based stream: draw n is counter n."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK
-        self.counter = 0
-
-    def next(self) -> float:
-        u = float(counter_uniform(self.seed, self.counter))
-        self.counter += 1
-        return u

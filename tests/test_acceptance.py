@@ -92,7 +92,7 @@ def test_criterion_2_stochasticity():
             rows = individual_kernel(model, param).sum(axis=2)
             worst = max(worst, float(np.abs(rows - 1.0).max()))
         couple = build_couple_kernel(ModelParams(model, p1, p2))
-        worst = max(worst, float(np.abs(couple.matrix.sum(axis=1) - 1.0).max()))
+        worst = max(worst, float(np.abs(couple.sum(axis=1) - 1.0).max()))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-12 and elapsed < 5.0
     report(2, ok, f"10^4 random draws, worst row-sum error {worst:.2e} ({elapsed:.2f}s)")

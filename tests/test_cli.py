@@ -1,4 +1,10 @@
+import contextlib
+import io
+import math
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from couplesim import cli
 from couplesim.cli import _resolve, build_parser, main
@@ -243,6 +249,14 @@ def test_unreadable_config_exits_2(capsys, tmp_path, missing):
     assert "cannot read config file" in stderr
 
 
+def test_non_utf8_config_exits_2_as_unreadable(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"model = 1\nseed = \xff\xfe\n")
+    code, _, stderr = run_cli(capsys, "trajectory", "--config", str(config))
+    assert code == 2
+    assert "cannot read config file" in stderr
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_sweep_rejects_fewer_than_one_thread(capsys, tmp_path, threads):
     outdir = tmp_path / "out"
@@ -359,3 +373,62 @@ def test_default_sweep_meta_is_pinned(capsys, tmp_path, monkeypatch):
         "outdir = \n"
         "pgm = false\n"
     )
+
+
+# Text that no converter accepts: no digits, no "nan"/"inf", nothing a
+# config line strips or comments out.
+_NONSENSE = st.text(alphabet="abcxyz.,;:+-_!?%", max_size=8)
+_OUTSIDE_UNIT = st.floats().filter(lambda x: not 0.0 <= x <= 1.0).map(repr)
+_NOT_INT = st.one_of(_NONSENSE, st.floats().filter(math.isfinite).map(repr))
+
+
+def _ints_below(bound):
+    return st.one_of(_NOT_INT, st.integers(max_value=bound - 1).map(str))
+
+
+_BAD_STATE = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
+    lambda pair: not all(-1 <= s <= 2 for s in pair))
+
+# For every option validation can reject, values it must reject.
+REJECTED = {
+    "model": st.one_of(_NONSENSE, st.integers().filter(lambda n: n not in (1, 2)).map(str)),
+    **dict.fromkeys(("p1", "p2", "vc", "param", "param2"), st.one_of(_NONSENSE, _OUTSIDE_UNIT)),
+    **dict.fromkeys(("steps", "plain_steps"), _ints_below(0)),
+    **dict.fromkeys(("inner_steps", "turns", "ensemble_size", "runs_per_cell", "threads"),
+                    _ints_below(1)),
+    "resolution": st.one_of(_ints_below(2), st.integers(min_value=202).map(str)),
+    "seed": _NOT_INT,
+    "start": st.one_of(_NONSENSE, _BAD_STATE.map(lambda pair: "%d,%d" % pair)),
+    **dict.fromkeys(("gender_mode", "engine", "scenario", "pgm", "couple"), _NONSENSE),
+}
+
+
+def _valid_base(command, directory):
+    """The command with any output kept inside `directory` (--couple so param2 is read)."""
+    couple = ["--couple"] if command == "audit-kernel" else []
+    flag = "--outdir" if command == "sweep" else "--out"
+    return [command, *couple, f"{flag}={directory / command}"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+_CASES = st.sampled_from(
+    [(command, key) for command, schema in cli._SCHEMAS.items() for key in schema if key in REJECTED]
+).flatmap(lambda option: st.tuples(st.just(option), REJECTED[option[1]]))
+
+
+@given(_CASES)
+@example((("trajectory", "p1"), "--"))  # argparse reads `--p1=--` as [] without converting it
+def test_rejected_values_exit_2_as_flag_and_config_line(fuzz_dir, case):
+    (command, key), value = case
+    config = fuzz_dir / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    base = _valid_base(command, fuzz_dir)
+    for argv in (base + [f"--{key.replace('_', '-')}={value}"], base + ["--config", str(config)]):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code == 2, (argv, stderr.getvalue())

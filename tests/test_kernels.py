@@ -67,7 +67,7 @@ def test_couple_rows_sum_to_one():
         for _ in range(100):
             p1, p2 = rng.random(2)
             kernel = build_couple_kernel(ModelParams(model, float(p1), float(p2)))
-            assert np.abs(kernel.matrix.sum(axis=1) - 1.0).max() < 1e-12
+            assert np.abs(kernel.sum(axis=1) - 1.0).max() < 1e-12
 
 
 unit = st.floats(0.0, 1.0)
@@ -83,6 +83,13 @@ def test_couple_kernels_are_row_stochastic_for_any_parameters(pairs):
         assert np.abs(kernels.sum(axis=2) - 1.0).max() <= 1e-15
 
 
+def test_couple_kernels_are_read_only():
+    with pytest.raises(ValueError):
+        build_couple_kernel(ModelParams(Model.AGGRESSION, 0.3, 0.7))[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        couple_kernels(Model.SUPPORT, [0.1, 0.2], [0.3, 0.4])[1] = 0.0
+
+
 def test_couple_kernel_is_exact_product():
     rng = np.random.default_rng(13)
     for model in Model:
@@ -95,17 +102,17 @@ def test_couple_kernel_is_exact_product():
                 for t1 in (-1, 0, 1, 2):
                     for t2 in (-1, 0, 1, 2):
                         product = k1[s1 + 1, s2 + 1, t1 + 1] * k2[s2 + 1, s1 + 1, t2 + 1]
-                        assert kernel.matrix[encode((s1, s2)), encode((t1, t2))] == product
+                        assert kernel[encode((s1, s2)), encode((t1, t2))] == product
 
 
 def test_couple_kernel_row_examples():
     calm = build_couple_kernel(ModelParams(Model.AGGRESSION, 0.0, 0.0))
-    row = calm.matrix[encode((1, 0))]
+    row = calm[encode((1, 0))]
     assert row[encode((-1, -1))] == 1.0
     assert row.sum() == 1.0
 
     fierce = build_couple_kernel(ModelParams(Model.AGGRESSION, 1.0, 1.0))
-    row = fierce.matrix[encode((1, 0))]
+    row = fierce[encode((1, 0))]
     expected = {(1, 1): 1 / 16, (1, 2): 3 / 16, (2, 1): 3 / 16, (2, 2): 9 / 16}
     for state, probability in expected.items():
         assert row[encode(state)] == pytest.approx(probability, abs=1e-15)
@@ -144,7 +151,7 @@ def test_garden_of_eden_matches_oracle():
         for _ in range(20):
             p1, p2 = (float(x) for x in rng.uniform(0.01, 0.99, 2))
             kernel = build_couple_kernel(ModelParams(model, p1, p2))
-            assert garden_of_eden_states(kernel) == _goe_oracle(kernel.matrix)
+            assert garden_of_eden_states(kernel) == _goe_oracle(kernel)
 
 
 def test_support_garden_of_eden_membership():
@@ -174,7 +181,7 @@ def test_garden_of_eden_disjoint_from_reachable():
             if (x // 4 - 1, x % 4 - 1) in goe:
                 continue
             for y in range(16):
-                if x != y and kernel.matrix[x, y] > 0:
+                if x != y and kernel[x, y] > 0:
                     reachable.add((y // 4 - 1, y % 4 - 1))
         assert goe.isdisjoint(reachable)
 
@@ -195,6 +202,6 @@ def test_couple_dump_consistent_with_matrix():
     kernel = build_couple_kernel(ModelParams(Model.AGGRESSION, 0.3, 0.7))
     total = np.zeros(16)
     for s1, s2, t1, t2, p in iter_couple_entries(kernel):
-        assert p == kernel.matrix[encode((s1, s2)), encode((t1, t2))]
+        assert p == kernel[encode((s1, s2)), encode((t1, t2))]
         total[encode((s1, s2))] += p
     assert np.abs(total - 1.0).max() < 1e-12

@@ -4,6 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from couplesim import (
+    COUPLE_STATES,
     Model,
     ModelParams,
     build_couple_kernel,
@@ -14,12 +15,13 @@ from couplesim import (
     evolve,
     format_trajectory,
     individual_kernel,
-    sample_individual,
-    sample_step,
     sample_trajectory,
 )
+from couplesim.kernels import individual_kernels
 from couplesim.montecarlo import estimate_distributions
-from couplesim.rng import DrawStream, derive_seed_array
+from couplesim.rng import derive_seed_array
+
+from sequential_sampler import DrawStream, sample_individual, sample_step, sequential_path
 
 AGG = ModelParams(Model.AGGRESSION, 0.3, 0.3)
 
@@ -48,7 +50,7 @@ def test_sample_step_keeps_absorbing_state():
 
 def test_one_step_frequencies_match_kernel_row():
     kernel = build_couple_kernel(AGG)
-    row = kernel.matrix[encode((1, 0))]
+    row = kernel[encode((1, 0))]
     n = 100_000
     freq = estimate_distribution((1, 0), AGG, 1, n, master_seed=123)
     for idx in range(16):
@@ -81,7 +83,44 @@ def test_trajectory_basics():
     assert trajectory.states[0] == (1, 0)
     kernel = build_couple_kernel(AGG)
     for x, y in zip(trajectory.states, trajectory.states[1:]):
-        assert kernel.matrix[encode(x), encode(y)] > 0
+        assert kernel[encode(x), encode(y)] > 0
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@given(st.sampled_from(list(Model)), st.lists(unit, min_size=1, max_size=32))
+@example(Model.AGGRESSION, [0.0, 0.1, 1 / 3, 0.7, 1.0])
+@example(Model.SUPPORT, [0.0, 0.1, 1 / 3, 0.7, 1.0])
+def test_residual_branch_never_picks_a_zero_probability_state(model, params):
+    # A draw at or above a row's third cumulative threshold selects state 2.
+    # Where tau(2 | s, s') is 0 that threshold must be exactly 1.0, or some
+    # draw in [0, 1) would enter a state the table forbids.
+    kernels = individual_kernels(model, params)
+    thresholds = kernels.cumsum(axis=3)[..., 2]
+    assert (thresholds[kernels[..., 3] == 0.0] == 1.0).all()
+
+
+@given(
+    model=st.sampled_from(list(Model)),
+    p1=unit,
+    p2=unit,
+    start=st.sampled_from(COUPLE_STATES),
+    steps=st.integers(0, 40),
+    seed=st.integers(-2**70, 2**70),
+)
+@example(model=Model.AGGRESSION, p1=0.3, p2=0.3, start=(1, 0), steps=40, seed=-3)
+@example(model=Model.SUPPORT, p1=0.35, p2=0.62, start=(1, 0), steps=40, seed=2**64 - 1)
+@example(model=Model.SUPPORT, p1=0.5, p2=0.5, start=(0, 2), steps=40, seed=2**70)
+def test_trajectory_is_the_sequential_path_through_positive_entries(
+    model, p1, p2, start, steps, seed
+):
+    params = ModelParams(model, p1, p2)
+    states = sample_trajectory(start, params, steps, seed).states
+    assert states == sequential_path(start, params, steps, seed)
+    kernel = build_couple_kernel(params)
+    for x, y in zip(states, states[1:]):
+        assert kernel[encode(x), encode(y)] > 0
 
 
 def test_trajectory_stays_after_absorption():
@@ -101,7 +140,7 @@ def test_reference_path_has_positive_probability():
     kernel = build_couple_kernel(AGG)
     path = [(1, 0), (1, -1), (2, 1), (2, -1), (2, -1)]
     for x, y in zip(path, path[1:]):
-        assert kernel.matrix[encode(x), encode(y)] > 0
+        assert kernel[encode(x), encode(y)] > 0
 
 
 def test_estimate_matches_sequential_sampling_exactly():
@@ -109,8 +148,8 @@ def test_estimate_matches_sequential_sampling_exactly():
     n, steps, master = 300, 6, 99
     counts = np.zeros(16)
     for i in range(n):
-        trajectory = sample_trajectory((1, 0), params, steps, derive_seed(master, i))
-        counts[encode(trajectory.states[-1])] += 1
+        states = sequential_path((1, 0), params, steps, derive_seed(master, i))
+        counts[encode(states[-1])] += 1
     assert np.array_equal(counts / n, estimate_distribution((1, 0), params, steps, n, master))
 
 
@@ -169,8 +208,8 @@ def test_stacked_estimate_matches_sequential_sampling(model, start):
         params = ModelParams(model, p1[cell], p2[cell])
         counts = np.zeros(16)
         for i in range(n):
-            trajectory = sample_trajectory(start, params, steps, derive_seed(master, i))
-            counts[encode(trajectory.states[-1])] += 1
+            states = sequential_path(start, params, steps, derive_seed(master, i))
+            counts[encode(states[-1])] += 1
         assert np.array_equal(stacked[cell], counts / n), cell
         single = estimate_distribution(start, params, steps, n, master)
         assert np.array_equal(stacked[cell], single), cell

@@ -12,6 +12,7 @@ from couplesim import (
     compare_grids,
     delta_distribution,
     derive_seed,
+    encode,
     estimate_distribution,
     evolve,
     gender_violence,
@@ -22,6 +23,7 @@ from couplesim import (
     violent_marginals,
 )
 from couplesim import feedback, sweep
+from couplesim.kernels import couple_kernels
 from couplesim.observables import read_fields
 from couplesim.rng import derive_seed_array
 
@@ -320,3 +322,23 @@ def test_monte_carlo_trace_at_a_corner_measures_every_turn(monkeypatch):
     for turn, (p1, p2, seeds) in enumerate(calls):
         assert p1.tolist() == [0.0] and p2.tolist() == [1.0]
         assert np.ravel(seeds).tolist() == [derive_seed(21, turn)]
+
+
+def test_model1_plain_grid_matches_absorption_probabilities():
+    # Kemeny & Snell (1960): from transient state x the chain is absorbed in
+    # state a with probability B[x, a], where B = (I - Q)^-1 R over the
+    # transient block Q and the transient-to-absorbing block R.
+    spec = SweepSpec(scenario=Scenario.MODEL1_PLAIN)
+    grid = run_sweep(spec)
+    p1, p2 = np.meshgrid(spec.grid, spec.grid, indexing="ij")
+    kernels = couple_kernels(Model.AGGRESSION, p1.ravel(), p2.ravel())
+    basins = {"normal": (0, 0), "separation": (2, 2), "male_violence": (2, -1),
+              "female_violence": (-1, 2)}
+    absorbing = [encode(s) for s in basins.values()]
+    transient = [x for x in range(16) if x not in absorbing]
+    q = kernels[:, transient][:, :, transient]
+    r = kernels[:, transient][:, :, absorbing]
+    b = np.linalg.solve(np.eye(len(transient)) - q, r)
+    start = b[:, transient.index(encode(spec.start))]
+    for k, name in enumerate(basins):
+        assert np.abs(start[:, k] - grid.fields[name].ravel()).max() <= 1e-6, name
