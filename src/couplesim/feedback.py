@@ -16,13 +16,16 @@ Perceived violence per partner:
 Gender-blind feedback applies the average (v1+v2)/2 to both partners;
 gender-specific feedback applies v1 to partner 1 and v2 to partner 2.
 
-Both engines run a stack of N cells at once; one cell is the stack N = 1.
-The exact engine evolves (N,16) distributions and updates p as arrays; the
-Monte Carlo engine samples the N ensembles as one and updates each cell's
-p on Python floats (libm `**`), so a cell gives the same bits in any stack.
-f and g fix 0 and 1 exactly, so a cell with both p at 0 or 1 sits at a fixed
-point: sweeps measure such a cell only at the final turn, while traces
-(self_consistent_run) measure every turn.
+Both engines run a stack of N cells at once, one cell being N = 1, and
+every turn takes one `measure` of the stack. The exact engine updates p
+as arrays; numpy's array power does not depend on a cell's place in the
+stack, but its last bits may depend on the numpy build. The Monte Carlo
+engine updates each p on Python floats, whose libm `**` differs from
+numpy's in the last bit for some inputs: that keeps its grids identical
+to those of the per-cell engine it replaced. f and g fix 0 and 1 exactly,
+so a cell with both p at 0 or 1 sits at a fixed point: sweeps measure such
+a cell only at the final turn, while traces (self_consistent_run) measure
+every turn.
 """
 
 from __future__ import annotations
@@ -115,10 +118,20 @@ def g_update(supp, v, vc):
     return _where(v > vc, supp ** (v - vc + 1.0), 1.0 - (1.0 - supp) ** (1.0 + vc - v))
 
 
-def exact_fields(model: Model, p1, p2, start: CoupleState, steps: int) -> np.ndarray:
-    """(N, F) read_fields of N cells (length-N p1, p2) after `steps` exact steps from start."""
-    dist = np.tile(delta_distribution(start), (len(p1), 1))
-    return read_fields(model, evolve(dist, couple_kernels(model, p1, p2), steps), p1, p2)
+def measure(
+    model: Model, p1, p2, start: CoupleState, steps: int, ensemble_size: int, seeds=None
+) -> np.ndarray:
+    """(N, F) read_fields of N cells (length-N p1, p2) after `steps` steps from start.
+
+    seeds None is the exact engine, which ignores ensemble_size; otherwise
+    cell n is estimated from ensemble_size trajectories on derive_seed(seeds[n], i).
+    """
+    if seeds is None:
+        dist = np.tile(delta_distribution(start), (len(p1), 1))
+        dist = evolve(dist, couple_kernels(model, p1, p2), steps)
+    else:
+        dist = estimate_distributions(start, model, p1, p2, steps, ensemble_size, seeds)
+    return read_fields(model, dist, p1, p2)
 
 
 def feedback_turns(
@@ -136,25 +149,17 @@ def feedback_turns(
     cells not at a corner of [0,1]^2, and their fields hold just those rows.
     """
     f_or_g = f_update if model is Model.AGGRESSION else g_update
-    if config.engine is Engine.EXACT:
-        def measure(turn, p1, p2, moving):
-            return exact_fields(model, p1, p2, start, config.inner_steps)
-        update = f_or_g
-    else:
-        def measure(turn, p1, p2, moving):
-            seeds = np.broadcast_to(derive_seed_array(master_seed, turn), moving.shape)
-            dist = estimate_distributions(
-                start, model, p1, p2, config.inner_steps, config.ensemble_size, seeds[moving]
-            )
-            return read_fields(model, dist, p1, p2)
-
-        def update(p, v, vc):  # libm's pow: numpy's array power can differ in the last bit
-            return np.array([f_or_g(a, b, vc) for a, b in zip(p.tolist(), v.tolist())])
+    exact = config.engine is Engine.EXACT
+    # np.vectorize calls f_or_g on Python floats, so Monte Carlo's `**` is libm's
+    update = f_or_g if exact else np.vectorize(f_or_g, otypes=[float])
     for turn in range(config.turns + 1):
         moving = np.ones(len(p1), dtype=bool)
         if _skip_settled and turn < config.turns:
             moving = ~(np.isin(p1, (0.0, 1.0)) & np.isin(p2, (0.0, 1.0)))
-        fields = measure(turn, p1[moving], p2[moving], moving)
+        seeds = None if exact else derive_seed_array(master_seed, np.full(len(p1), turn))[moving]
+        fields = measure(
+            model, p1[moving], p2[moving], start, config.inner_steps, config.ensemble_size, seeds
+        )
         # the unrenormalized evolution can leave v outside [0,1] by ~1e-16
         fields[:, -2:] = np.clip(fields[:, -2:], 0.0, 1.0)
         yield p1, p2, fields

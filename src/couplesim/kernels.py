@@ -133,22 +133,19 @@ def build_couple_kernel(params: ModelParams) -> np.ndarray:
     return couple_kernels(params.model, [params.p1], [params.p2])[0]
 
 
-def absorbing_states(kernel: np.ndarray, tol: float = 1e-12) -> set[CoupleState]:
-    """States whose self-transition probability equals 1.
+def absorbing_states(kernel: np.ndarray) -> set[CoupleState]:
+    """States whose self-transition probability equals 1 (to within 1e-12).
 
     This reads the matrix literally. The support model's two unreachable
     states (2,1) and (1,2) hold themselves with probability 1 and are
     therefore reported, even though no dynamics started elsewhere can
     ever enter them (see garden_of_eden_states).
     """
-    diag = np.diag(kernel)
-    return {decode(i) for i in range(16) if diag[i] >= 1.0 - tol}
+    return {decode(i) for i in range(16) if kernel[i, i] >= 1.0 - 1e-12}
 
 
 def garden_of_eden_states(
-    kernel: np.ndarray,
-    exclude_self_loops: bool = False,
-    tol: float = 0.0,
+    kernel: np.ndarray, exclude_self_loops: bool = False
 ) -> set[CoupleState]:
     """States with no incoming transition from any other state.
 
@@ -156,16 +153,11 @@ def garden_of_eden_states(
     not count as incoming transitions; with exclude_self_loops the states
     that do hold a self-loop are additionally dropped from the report.
     """
-    found = set()
-    for j in range(16):
-        column = kernel[:, j].copy()
-        self_prob = column[j]
-        column[j] = 0.0
-        if column.max() <= tol:
-            if exclude_self_loops and self_prob > tol:
-                continue
-            found.add(decode(j))
-    return found
+    return {
+        decode(j) for j in range(16)
+        if not np.delete(kernel[:, j], j).any()
+        and not (exclude_self_loops and kernel[j, j] > 0.0)
+    }
 
 
 def iter_individual_entries(

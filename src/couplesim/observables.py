@@ -66,14 +66,11 @@ def read_fields(model: Model, dist: np.ndarray, p1=0.0, p2=0.0) -> np.ndarray:
     Columns follow MODEL1_FIELDS or MODEL2_FIELDS. p1 and p2 (length N, or
     floats for a (16,) dist) are the supports that split P(2,2) into M and
     S; the aggression model ignores them. Every sum runs left to right as
-    written. A (16,) dist is read as Python floats, which gives the same
-    values as a length-1 stack at a fraction of the cost.
+    written.
     """
     by_state = np.reshape(dist, (-1, 16)).T
-    if np.ndim(dist) == 1:
-        by_state = by_state[:, 0].tolist()
 
-    def p(s1: int, s2: int) -> np.ndarray | float:
+    def p(s1: int, s2: int) -> np.ndarray:
         return by_state[encode((s1, s2))]
 
     if model is Model.AGGRESSION:
@@ -89,7 +86,7 @@ def read_fields(model: Model, dist: np.ndarray, p1=0.0, p2=0.0) -> np.ndarray:
             p(2, -1) + p(2, 0) + p(2, 1) + p(2, 2),
             p(-1, 2) + p(0, 2) + p(1, 2) + p(2, 2),
         )
-    return np.array(columns).T.reshape(-1, len(columns))
+    return np.array(columns).T
 
 
 def _row(model: Model, dist: np.ndarray, p1: float = 0.0, p2: float = 0.0) -> list[float]:

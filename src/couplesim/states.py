@@ -14,7 +14,6 @@ from enum import Enum
 
 STATES = (-1, 0, 1, 2)
 STATE_NAMES = {-1: "passive", 0: "normal", 1: "upset", 2: "violent"}
-N_COUPLE_STATES = 16
 
 CoupleState = tuple[int, int]
 

@@ -21,9 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .feedback import Engine, FeedbackConfig, GenderMode, exact_fields, feedback_turns
-from .montecarlo import estimate_distributions
-from .observables import MODEL1_FIELDS, MODEL2_FIELDS, read_fields
+from .feedback import Engine, FeedbackConfig, GenderMode, feedback_turns, measure
+from .observables import MODEL1_FIELDS, MODEL2_FIELDS
 from .rng import derive_seed_array
 from .states import CoupleState, Model, encode
 
@@ -168,10 +167,7 @@ def _stack_fields(spec: SweepSpec, pairs: range) -> np.ndarray:
         )
         return fields
     steps = spec.effective_plain_steps
-    if exact:
-        return exact_fields(model, p1, p2, spec.start, steps)
-    dist = estimate_distributions(spec.start, model, p1, p2, steps, spec.ensemble_size, seeds)
-    return read_fields(model, dist, p1, p2)
+    return measure(model, p1, p2, spec.start, steps, spec.ensemble_size, seeds)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:

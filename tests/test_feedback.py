@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from couplesim import (
@@ -15,7 +15,8 @@ from couplesim import (
     g_update,
     self_consistent_run,
 )
-from couplesim.feedback import feedback_turns
+from couplesim.feedback import feedback_turns, measure
+from couplesim.observables import MODEL1_FIELDS, MODEL2_FIELDS
 from couplesim.rng import derive_seed_array
 
 
@@ -60,6 +61,7 @@ def test_updates_stay_in_unit_interval_and_are_monotone():
 
 
 unit = st.floats(0.0, 1.0)
+corner_or_unit = st.one_of(st.sampled_from([0.0, 1.0]), unit)
 
 
 @given(unit, st.lists(st.tuples(unit, unit), min_size=1, max_size=64))
@@ -219,3 +221,24 @@ def test_monte_carlo_stack_updates_each_cell_on_python_floats(model, update):
     for before, after, v in ((a1, b1, fields[:, -2]), (a2, b2, fields[:, -1])):
         expected = [update(p, x, config.vc) for p, x in zip(before.tolist(), v.tolist())]
         assert after.tolist() == expected
+
+
+@settings(deadline=None)
+@given(
+    model=st.sampled_from(list(Model)),
+    engine=st.sampled_from(list(Engine)),
+    cells=st.lists(
+        st.tuples(corner_or_unit, corner_or_unit, st.integers(0, 2**64 - 1)), max_size=12
+    ),
+    data=st.data(),
+)
+def test_measure_does_not_depend_on_stack_order(model, engine, cells, data):
+    p1, p2 = (np.array([cell[k] for cell in cells], dtype=float) for k in (0, 1))
+    seeds = np.array([cell[2] for cell in cells], dtype=np.uint64)
+    order = np.array(data.draw(st.permutations(range(len(cells)))), dtype=int)
+    exact = engine is Engine.EXACT
+    fields = measure(model, p1, p2, (1, 0), 6, 16, None if exact else seeds)
+    shuffled = measure(model, p1[order], p2[order], (1, 0), 6, 16, None if exact else seeds[order])
+    width = len(MODEL1_FIELDS if model is Model.AGGRESSION else MODEL2_FIELDS)
+    assert fields.shape == shuffled.shape == (len(cells), width)
+    assert shuffled.tobytes() == fields[order].tobytes()

@@ -267,15 +267,14 @@ def test_monte_carlo_stack_bound_does_not_change_results(scenario, monkeypatch):
 
 def _record_measurements(monkeypatch, engine):
     """Log (p1, p2, seeds) of every measurement the feedback loop makes; seeds is None if exact."""
-    name, first = ("exact_fields", 1) if engine is Engine.EXACT else ("estimate_distributions", 2)
-    original, calls = getattr(feedback, name), []
+    original, calls = feedback.measure, []
 
-    def spy(*args):
-        p1, p2 = args[first:first + 2]
-        calls.append((p1.copy(), p2.copy(), None if engine is Engine.EXACT else args[-1].copy()))
-        return original(*args)
+    def spy(model, p1, p2, start, steps, ensemble_size, seeds):
+        assert (seeds is None) == (engine is Engine.EXACT)
+        calls.append((p1.copy(), p2.copy(), None if seeds is None else seeds.copy()))
+        return original(model, p1, p2, start, steps, ensemble_size, seeds)
 
-    monkeypatch.setattr(feedback, name, spy)
+    monkeypatch.setattr(feedback, "measure", spy)
     return calls
 
 
@@ -309,6 +308,30 @@ def test_sweep_measures_settled_cells_only_at_the_last_turn(engine, monkeypatch)
     assert measured[0] == len(cell) - 4 * runs > measured[-2]
     assert measured[-1] == len(cell)
     per_run = full[-1][2].reshape(spec.resolution, spec.resolution, runs, -1)
+    values = sum(per_run[:, :, r] for r in range(runs)) / runs
+    for k, name in enumerate(spec.field_names):
+        assert np.array_equal(grid.fields[name], values[:, :, k]), name
+
+
+@pytest.mark.parametrize("engine", list(Engine))
+@pytest.mark.parametrize("scenario", [Scenario.MODEL1_SC_BLIND, Scenario.MODEL2_SC_GENDER])
+def test_sweep_of_corners_measures_empty_stacks_until_the_last_turn(scenario, engine, monkeypatch):
+    # at resolution 2 every cell is a corner, settled from turn 0
+    spec = SweepSpec(
+        scenario, resolution=2, runs_per_cell=2, engine=engine, ensemble_size=200,
+        master_seed=4, inner_steps=6, turns=5,
+    )
+    runs = spec.effective_runs
+    cell, run = np.divmod(np.arange(spec.resolution**2 * runs), runs)
+    i, j = np.divmod(cell, spec.resolution)
+    seeds = derive_seed_array(spec.master_seed, i, j, run)
+    *_, (_, _, fields) = feedback.feedback_turns(
+        spec.scenario.model, spec.grid[i], spec.grid[j], spec.feedback_config(), spec.start, seeds
+    )
+    calls = _record_measurements(monkeypatch, engine)
+    grid = run_sweep(spec)
+    assert [len(p1) for p1, _, _ in calls] == [0] * spec.turns + [4 * runs]
+    per_run = fields.reshape(spec.resolution, spec.resolution, runs, -1)
     values = sum(per_run[:, :, r] for r in range(runs)) / runs
     for k, name in enumerate(spec.field_names):
         assert np.array_equal(grid.fields[name], values[:, :, k]), name
