@@ -18,10 +18,11 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .feedback import Engine, FeedbackConfig, GenderMode, self_consistent_run
-from .kernels import build_couple_kernel, iter_couple_entries, iter_individual_entries
+from .kernels import build_couple_kernel, individual_kernel, kernel_entries
 from .markov import delta_distribution, evolve_trace
 from .montecarlo import format_trajectory, sample_trajectory
 from .output import (
+    csv_lines,
     write_csv,
     write_distribution_trace_csv,
     write_feedback_csv,
@@ -258,18 +259,17 @@ def _cmd_audit_kernel(cfg: dict) -> int:
     if cfg["couple"]:
         p2 = cfg["param"] if cfg["param2"] is None else cfg["param2"]
         kernel = build_couple_kernel(ModelParams(model=model, p1=cfg["param"], p2=p2))
+        table = kernel.reshape(4, 4, 4, 4)
         header = ["s1", "s2", "s1_next", "s2_next", "probability"]
-        rows = iter_couple_entries(kernel)
     else:
+        table = individual_kernel(model, cfg["param"])
         header = ["s_self", "s_partner", "s_next", "probability"]
-        rows = iter_individual_entries(model, cfg["param"])
+    rows = kernel_entries(table)
     if cfg["out"]:
         write_csv(cfg["out"], header, rows)
         print(f"wrote {cfg['out']}")
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        print("\n".join(csv_lines(header, rows)))
     return 0
 
 

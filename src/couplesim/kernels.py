@@ -19,7 +19,6 @@ from typing import Iterator
 import numpy as np
 
 from .states import (
-    STATES,
     CoupleState,
     Model,
     ModelParams,
@@ -92,13 +91,9 @@ _AFFINE = {m: _affine_tensors(m) for m in Model}
 
 def tau(model: Model, s_next: int, s_self: int, s_partner: int, param: float) -> float:
     """Entry tau(s_next | s_self, s_partner; param) of `model`'s individual table."""
-    validate_state(s_next)
-    validate_state(s_self)
-    validate_state(s_partner)
-    validate_param(param)
-    const, slope = _AFFINE[model]
-    return float(const[s_self + 1, s_partner + 1, s_next + 1]
-                 + slope[s_self + 1, s_partner + 1, s_next + 1] * param)
+    for state in (s_next, s_self, s_partner):  # a negative index would wrap silently
+        validate_state(state)
+    return float(individual_kernel(model, param)[s_self + 1, s_partner + 1, s_next + 1])
 
 
 def individual_kernels(model: Model, params, name: str = "param") -> np.ndarray:
@@ -160,27 +155,13 @@ def garden_of_eden_states(
     }
 
 
-def iter_individual_entries(
-    model: Model, param: float
-) -> Iterator[tuple[int, int, int, float]]:
-    """Nonzero (s_self, s_partner, s_next, probability) rows for audits."""
-    kernel = individual_kernel(model, param)
-    for s in STATES:
-        for sp in STATES:
-            for nxt in STATES:
-                p = kernel[s + 1, sp + 1, nxt + 1]
-                if p != 0.0:
-                    yield s, sp, nxt, float(p)
+def kernel_entries(table: np.ndarray) -> Iterator[tuple]:
+    """Nonzero (*states, probability) rows of a table indexed by state + 1 on every axis.
 
-
-def iter_couple_entries(
-    kernel: np.ndarray,
-) -> Iterator[tuple[int, int, int, int, float]]:
-    """Nonzero (s1, s2, s1_next, s2_next, probability) rows for audits."""
-    for x in range(16):
-        for y in range(16):
-            p = kernel[x, y]
-            if p != 0.0:
-                s1, s2 = decode(x)
-                t1, t2 = decode(y)
-                yield s1, s2, t1, t2, float(p)
+    Rows come in row-major order. The (4,4,4) individual table gives
+    (s_self, s_partner, s_next, p); a couple kernel viewed as
+    M.reshape(4, 4, 4, 4) gives (s1, s2, s1_next, s2_next, p), since encode
+    is row-major over (s1 + 1, s2 + 1).
+    """
+    for index in np.argwhere(table):
+        yield (*(index - 1).tolist(), float(table[tuple(index)]))

@@ -44,7 +44,7 @@ def evolve(dist: np.ndarray, kernel: np.ndarray, steps: int) -> np.ndarray:
 
 
 def evolve_trace(dist: np.ndarray, kernel: np.ndarray, steps: int) -> np.ndarray:
-    """(steps+1) x 16 array of the distribution at t = 0..steps."""
+    """(steps+1, *dist.shape) array of the distribution (or stack) at t = 0..steps."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     trace = np.empty((steps + 1,) + np.shape(dist))

@@ -32,8 +32,13 @@ def _write_lines(path: Path | str, lines: Iterable[str]) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
+def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
+    """The lines of a CSV file, without line endings."""
+    return [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]
+
+
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    _write_lines(path, [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)])
+    _write_lines(path, csv_lines(header, rows))
 
 
 def _reprs(values) -> list[str]:
@@ -93,11 +98,8 @@ def write_feedback_csv(path: Path | str, trace: FeedbackTrace) -> None:
     """Rows (turn, p1, p2, v1, v2, observable columns)."""
     obs_names = list(trace[0].observables.as_dict())
     header = ["turn", "p1", "p2", "v1", "v2"] + obs_names
-    rows = (
-        [rec.turn, rec.p1, rec.p2, rec.v1, rec.v2]
-        + [rec.observables.as_dict()[name] for name in obs_names]
-        for rec in trace
-    )
+    rows = ([rec.turn, rec.p1, rec.p2, rec.v1, rec.v2, *rec.observables.as_dict().values()]
+            for rec in trace)
     write_csv(path, header, rows)
 
 

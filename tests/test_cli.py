@@ -6,7 +6,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from couplesim import cli
+from couplesim import (
+    STATES,
+    Model,
+    ModelParams,
+    build_couple_kernel,
+    cli,
+    encode,
+    individual_kernel,
+)
 from couplesim.cli import _resolve, build_parser, main
 from couplesim.output import write_meta
 
@@ -127,6 +135,41 @@ def test_audit_kernel_couple_dump(capsys):
         sums[(s1, s2)] = sums.get((s1, s2), 0.0) + float(p)
     assert len(sums) == 16
     assert all(abs(total - 1.0) < 1e-12 for total in sums.values())
+
+
+def _audit_lines(model, couple, p1, p2):
+    """The audit CSV lines, built by nested loops over STATES in row-major order."""
+    if couple:
+        kernel = build_couple_kernel(ModelParams(Model(model), p1, p2))
+        lines = ["s1,s2,s1_next,s2_next,probability"]
+        entries = (((s1, s2, t1, t2), kernel[encode((s1, s2)), encode((t1, t2))])
+                   for s1 in STATES for s2 in STATES for t1 in STATES for t2 in STATES)
+    else:
+        kernel = individual_kernel(Model(model), p1)
+        lines = ["s_self,s_partner,s_next,probability"]
+        entries = (((s, sp, nxt), kernel[s + 1, sp + 1, nxt + 1])
+                   for s in STATES for sp in STATES for nxt in STATES)
+    for states, p in entries:
+        if p != 0.0:
+            lines.append(",".join([*map(str, states), repr(float(p))]))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("couple", [False, True], ids=["individual", "couple"])
+@pytest.mark.parametrize("model", [1, 2])
+def test_audit_kernel_rows_in_order_byte_for_byte(capsys, tmp_path, model, couple):
+    args = ["audit-kernel", "--model", str(model), "--param", "0.81"]
+    if couple:
+        args += ["--couple", "--param2", "0.3"]
+    expected = _audit_lines(model, couple, 0.81, 0.3)
+    code, stdout, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert stdout == expected
+    out = tmp_path / "audit.csv"
+    code, stdout, _ = run_cli(capsys, *args, "--out", str(out))
+    assert code == 0
+    assert stdout == f"wrote {out}\n"
+    assert out.read_bytes() == expected.encode("ascii")
 
 
 def test_sweep_outputs_and_rerun_identity(capsys, tmp_path):

@@ -13,7 +13,7 @@ from couplesim import (
     individual_kernel,
     tau,
 )
-from couplesim.kernels import couple_kernels, iter_couple_entries, iter_individual_entries
+from couplesim.kernels import couple_kernels, kernel_entries
 
 from kernel_tables import AGGRESSION_TABLE, SUPPORT_TABLE, expected_nonzero
 
@@ -190,7 +190,7 @@ def test_garden_of_eden_disjoint_from_reachable():
 def test_individual_dump_matches_transcription(param):
     for model, table in ((Model.AGGRESSION, AGGRESSION_TABLE), (Model.SUPPORT, SUPPORT_TABLE)):
         dumped = {
-            (s, sp, nxt): p for s, sp, nxt, p in iter_individual_entries(model, param)
+            (s, sp, nxt): p for s, sp, nxt, p in kernel_entries(individual_kernel(model, param))
         }
         expected = expected_nonzero(table, param)
         assert dumped.keys() == expected.keys()
@@ -201,7 +201,7 @@ def test_individual_dump_matches_transcription(param):
 def test_couple_dump_consistent_with_matrix():
     kernel = build_couple_kernel(ModelParams(Model.AGGRESSION, 0.3, 0.7))
     total = np.zeros(16)
-    for s1, s2, t1, t2, p in iter_couple_entries(kernel):
+    for s1, s2, t1, t2, p in kernel_entries(kernel.reshape(4, 4, 4, 4)):
         assert p == kernel[encode((s1, s2)), encode((t1, t2))]
         total[encode((s1, s2))] += p
     assert np.abs(total - 1.0).max() < 1e-12

@@ -1,6 +1,6 @@
 import numpy as np
 
-from couplesim.output import write_csv, write_long_csv, write_matrix_csv
+from couplesim.output import write_csv, write_long_csv, write_matrix_csv, write_pgm
 
 # Floats whose shortest round-trip text is easy to get wrong: exponent
 # forms at both ends, the smallest subnormal, a signed zero, a long mantissa.
@@ -35,3 +35,12 @@ def test_grid_writers_match_per_value_formatting(tmp_path):
     assert lines[1] == "0.0,0.0,normal,1e-05"
     assert lines[7] == "1e-05,0.0,normal,-0.0"
     assert "5e-324" in (tmp_path / "matrix.csv").read_text()
+
+
+def test_pgm_orientation_clipping_and_rounding(tmp_path):
+    # values[i, j] is the cell (p1 index i, p2 index j): p1 runs left to
+    # right, p2 bottom to top; 2.0 and -1.0 clip, 0.5 * 255 rounds half to even.
+    write_pgm(tmp_path / "grid.pgm", np.array([[0.0, 0.5, 2.0], [-1.0, 1.0, 0.2]]))
+    assert (tmp_path / "grid.pgm").read_bytes() == b"P5\n2 3\n255\n" + bytes(
+        [255, 51, 128, 255, 0, 0]
+    )
