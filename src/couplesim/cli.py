@@ -2,17 +2,20 @@
 
 Commands: trajectory, evolve, selfconsistent, sweep, audit-kernel. Every
 option can also come from a flat `key = value` config file (--config) whose
-keys are the flag names with `_` for `-`; a flag and its key share one
-converter, so both reject the same values. Flags win over the file, the file
-wins over the defaults, and unknown keys are rejected. Exit codes: 0 on
-success, 2 for configuration errors (a bad value, a malformed or unreadable
-config file, --threads below 1), 3 for runtime failures.
+keys are the flag names, `-` and `_` alike; `#` starts a comment anywhere on
+a line (`out = run#2` means `run`), blank lines are skipped and quotes around
+a value are stripped. A flag and its key share one converter, so both reject
+the same values. Flags win over the file, the file wins over the defaults,
+and unknown keys are rejected. Exit codes: 0 on success, 2 for configuration
+errors (a bad value, a malformed or unreadable config file, --threads below
+1), 3 for runtime failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -180,67 +183,51 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     return resolved
 
 
+def _by_name(cls, values: dict):
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
+
+
+def _out(cfg: dict, suffix: str) -> Path:
+    """The --out prefix with suffix appended; unlike with_suffix, keeps a dot in its name."""
+    return Path(cfg["out"]).with_name(Path(cfg["out"]).name + suffix)
+
+
 def _cmd_trajectory(cfg: dict) -> int:
-    params = ModelParams(model=Model(cfg["model"]), p1=cfg["p1"], p2=cfg["p2"])
+    params = _by_name(ModelParams, cfg)
     trajectory = sample_trajectory(cfg["start"], params, cfg["steps"], cfg["seed"])
     for line in format_trajectory(trajectory):
         print(line)
-    prefix = Path(cfg["out"])
-    write_trajectory_text(prefix.with_suffix(".txt"), trajectory)
-    write_trajectory_csv(prefix.with_suffix(".csv"), trajectory)
-    write_meta(Path(str(prefix) + "_meta.txt"), cfg)
+    write_trajectory_text(_out(cfg, ".txt"), trajectory)
+    write_trajectory_csv(_out(cfg, ".csv"), trajectory)
+    write_meta(_out(cfg, "_meta.txt"), cfg)
     return 0
 
 
 def _cmd_evolve(cfg: dict) -> int:
-    params = ModelParams(model=Model(cfg["model"]), p1=cfg["p1"], p2=cfg["p2"])
-    kernel = build_couple_kernel(params)
+    kernel = build_couple_kernel(_by_name(ModelParams, cfg))
     trace = evolve_trace(delta_distribution(cfg["start"]), kernel, cfg["steps"])
-    prefix = Path(cfg["out"])
-    write_distribution_trace_csv(prefix.with_suffix(".csv"), trace)
-    write_meta(Path(str(prefix) + "_meta.txt"), cfg)
-    print(f"wrote {prefix.with_suffix('.csv')}")
+    write_distribution_trace_csv(_out(cfg, ".csv"), trace)
+    write_meta(_out(cfg, "_meta.txt"), cfg)
+    print(f"wrote {_out(cfg, '.csv')}")
     return 0
 
 
 def _cmd_selfconsistent(cfg: dict) -> int:
-    params = ModelParams(model=Model(cfg["model"]), p1=cfg["p1"], p2=cfg["p2"])
-    config = FeedbackConfig(
-        vc=cfg["vc"],
-        inner_steps=cfg["inner_steps"],
-        turns=cfg["turns"],
-        gender_mode=GenderMode(cfg["gender_mode"]),
-        engine=Engine(cfg["engine"]),
-        ensemble_size=cfg["ensemble_size"],
-    )
+    params, config = _by_name(ModelParams, cfg), _by_name(FeedbackConfig, cfg)
     trace = self_consistent_run(params, config, start=cfg["start"], master_seed=cfg["seed"])
-    prefix = Path(cfg["out"])
-    write_feedback_csv(prefix.with_suffix(".csv"), trace)
-    write_meta(Path(str(prefix) + "_meta.txt"), cfg)
+    write_feedback_csv(_out(cfg, ".csv"), trace)
+    write_meta(_out(cfg, "_meta.txt"), cfg)
     last = trace[-1]
     print(f"final p1={last.p1:.6f} p2={last.p2:.6f} v1={last.v1:.6f} v2={last.v2:.6f}")
-    print(f"wrote {prefix.with_suffix('.csv')}")
+    print(f"wrote {_out(cfg, '.csv')}")
     return 0
 
 
 def _cmd_sweep(cfg: dict) -> int:
-    scenario = Scenario(cfg["scenario"])
-    spec = SweepSpec(
-        scenario=scenario,
-        resolution=cfg["resolution"],
-        runs_per_cell=cfg["runs_per_cell"],
-        engine=Engine(cfg["engine"]),
-        ensemble_size=cfg["ensemble_size"],
-        master_seed=cfg["seed"],
-        vc=cfg["vc"],
-        inner_steps=cfg["inner_steps"],
-        turns=cfg["turns"],
-        plain_steps=cfg["plain_steps"],
-        start=cfg["start"],
-    )
+    spec = _by_name(SweepSpec, {**cfg, "master_seed": cfg["seed"]})
     if cfg["threads"] < 1:  # as run_sweep would, but before the directory exists
         raise ValueError(f"workers must be at least 1, got {cfg['threads']}")
-    outdir = Path(cfg["outdir"] or f"sweep-{scenario.value}")
+    outdir = Path(cfg["outdir"] or f"sweep-{spec.scenario.value}")
     outdir.mkdir(parents=True, exist_ok=True)  # a bad outdir fails before the computation
     grid = run_sweep(spec, workers=cfg["threads"])
     axis = spec.grid

@@ -56,7 +56,7 @@ class Engine(Enum):
 
 @dataclass(frozen=True)
 class FeedbackConfig:
-    """Loop parameters; defaults follow the reference setup."""
+    """Loop parameters (the reference setup by default); enum fields take a member or its value."""
 
     vc: float = 0.1
     inner_steps: int = 20
@@ -66,6 +66,8 @@ class FeedbackConfig:
     ensemble_size: int = 1000
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "gender_mode", GenderMode(self.gender_mode))
+        object.__setattr__(self, "engine", Engine(self.engine))
         validate_param(self.vc, "vc")
         if self.inner_steps < 1:
             raise ValueError(f"inner_steps must be >= 1, got {self.inner_steps}")

@@ -45,15 +45,14 @@ def validate_param(value, name: str = "param"):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """A model choice plus the two per-partner control parameters in [0, 1]."""
+    """A model choice (a Model or its value) plus two control parameters in [0, 1]."""
 
     model: Model
     p1: float
     p2: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.model, Model):
-            raise ValueError(f"model must be a Model enum member, got {self.model!r}")
+        object.__setattr__(self, "model", Model(self.model))
         validate_param(self.p1, "p1")
         validate_param(self.p2, "p2")
 

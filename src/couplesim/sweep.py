@@ -16,7 +16,7 @@ at 0 or 1, a fixed point of the feedback map, only at the final turn.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from enum import Enum
 
 import numpy as np
@@ -62,7 +62,7 @@ class Scenario(Enum):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Full description of one sweep; everything downstream derives from it."""
+    """One sweep in full, which all else derives from; enum fields take a member or its value."""
 
     scenario: Scenario
     resolution: int = 51
@@ -77,6 +77,8 @@ class SweepSpec:
     start: CoupleState = (1, 0)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "scenario", Scenario(self.scenario))
+        object.__setattr__(self, "engine", Engine(self.engine))
         if self.resolution < 2:
             raise ValueError(f"resolution must be >= 2, got {self.resolution}")
         if self.resolution > 201:
@@ -117,14 +119,9 @@ class SweepSpec:
         return 500 if self.scenario.model is Model.AGGRESSION else 20
 
     def feedback_config(self) -> FeedbackConfig:
-        return FeedbackConfig(
-            vc=self.vc,
-            inner_steps=self.inner_steps,
-            turns=self.turns,
-            gender_mode=self.scenario.gender_mode,
-            engine=self.engine,
-            ensemble_size=self.ensemble_size,
-        )
+        options = {f.name: getattr(self, f.name) for f in dataclass_fields(FeedbackConfig)
+                   if f.name != "gender_mode"}  # set by the scenario
+        return FeedbackConfig(gender_mode=self.scenario.gender_mode, **options)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+from dataclasses import MISSING, fields
 
 import pytest
 from hypothesis import example, given
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from couplesim import (
     STATES,
+    FeedbackConfig,
     Model,
     ModelParams,
+    SweepSpec,
     build_couple_kernel,
     cli,
     encode,
@@ -231,12 +234,66 @@ def test_config_file_roundtrip(capsys, tmp_path, monkeypatch):
     assert stdout.strip().splitlines() == ["t=0, s1=1 s2=0"]
 
 
+def test_config_file_syntax(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "# a whole-line comment\n"
+        "\n"
+        "scenario = 'model2-plain'\n"
+        "resolution = 3  # a trailing comment\n"
+        "plain-steps = \"4\"\n"
+        "   \n"
+        "pgm = true\n"
+        "outdir = run#2\n"
+    )
+    cfg = _resolve(build_parser().parse_args(["sweep", "--config", str(config)]), "sweep")
+    assert (cfg["scenario"], cfg["resolution"], cfg["plain_steps"]) == ("model2-plain", 3, 4)
+    assert cfg["pgm"] is True
+    assert cfg["outdir"] == "run"  # `#` starts a comment anywhere on the line
+    config.write_text("pgm = off\n")
+    assert _resolve(build_parser().parse_args(["sweep", "--config", str(config)]), "sweep")[
+        "pgm"] is False
+
+
+def test_config_file_switches_on_a_run(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("couple = yes\nparam = 0.5\n")
+    code, stdout, _ = run_cli(capsys, "audit-kernel", "--config", str(config))
+    assert code == 0
+    assert stdout.splitlines()[0] == "s1,s2,s1_next,s2_next,probability"
+    config.write_text(f"scenario = model1-plain\nresolution = 3\nplain_steps = 2\n"
+                      f"outdir = {tmp_path / 'sweep'}\npgm = yes\n")
+    assert run_cli(capsys, "sweep", "--config", str(config))[0] == 0
+    assert (tmp_path / "sweep" / "separation.pgm").exists()
+
+
+def test_config_line_without_equals_exits_2_with_its_place(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("model = 1\n\nsteps 5\n")
+    code, _, stderr = run_cli(capsys, "trajectory", "--config", str(config))
+    assert code == 2
+    assert f"{config}:3: expected 'key = value'" in stderr
+
+
 def test_config_file_rejects_unknown_key(capsys, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("model = 1\nbananas = 7\n")
     code, _, stderr = run_cli(capsys, "trajectory", "--config", str(config))
     assert code == 2
     assert "bananas" in stderr
+
+
+@pytest.mark.parametrize(
+    "command,suffixes",
+    [("trajectory", (".txt", ".csv")), ("evolve", (".csv",)), ("selfconsistent", (".csv",))],
+)
+def test_dotted_out_prefix_keeps_its_name(capsys, tmp_path, command, suffixes):
+    for prefix in ("traj_a0.3", "traj_a0.5"):
+        assert run_cli(capsys, command, "--out", str(tmp_path / prefix))[0] == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        prefix + suffix for prefix in ("traj_a0.3", "traj_a0.5")
+        for suffix in (*suffixes, "_meta.txt")
+    )
 
 
 def test_missing_subcommand_exits_2(capsys):
@@ -370,6 +427,22 @@ def test_parser_surface_is_pinned():
         for command, sub in _subparsers().items()
     }
     assert surface == SURFACE
+
+
+def test_cli_keys_are_the_run_descriptions_fields():
+    sweep = {"master_seed" if key == "seed" else key: option
+             for key, option in cli._SCHEMAS["sweep"].items()
+             if key not in ("threads", "outdir", "pgm")}
+    selfconsistent = cli._SCHEMAS["selfconsistent"]
+    assert list(sweep) == [f.name for f in fields(SweepSpec)]
+    names = [f.name for f in fields(FeedbackConfig)]
+    assert [key for key in selfconsistent if key in names] == names
+    for command in ("trajectory", "evolve", "selfconsistent"):
+        assert {f.name for f in fields(ModelParams)} <= set(cli._SCHEMAS[command])
+    for cls, schema in ((SweepSpec, sweep), (FeedbackConfig, selfconsistent)):
+        for f in fields(cls):
+            if f.default is not MISSING:
+                assert schema[f.name].default == getattr(f.default, "value", f.default), f.name
 
 
 def _meta_lines(tmp_path, command, *argv):

@@ -206,6 +206,23 @@ def test_config_validation():
         FeedbackConfig(inner_steps=0)
 
 
+def test_config_takes_enum_values_as_members():
+    # the cell where blind and gender-specific feedback settle differently
+    params = ModelParams(Model.AGGRESSION, 0.05, 0.35)
+    by_value = FeedbackConfig(gender_mode="blind")
+    assert by_value.gender_mode is GenderMode.BLIND
+    assert self_consistent_run(params, by_value) == self_consistent_run(
+        params, FeedbackConfig(gender_mode=GenderMode.BLIND)
+    )
+    assert FeedbackConfig(gender_mode="specific", engine="monte-carlo") == FeedbackConfig(
+        gender_mode=GenderMode.SPECIFIC, engine=Engine.MONTE_CARLO
+    )
+    with pytest.raises(ValueError):
+        FeedbackConfig(engine="exactly")
+    with pytest.raises(ValueError):
+        FeedbackConfig(gender_mode="female")
+
+
 @pytest.mark.parametrize("model,update", [(Model.AGGRESSION, f_update), (Model.SUPPORT, g_update)])
 def test_monte_carlo_stack_updates_each_cell_on_python_floats(model, update):
     # numpy's array power can differ from libm's pow in the last bit; the

@@ -42,3 +42,10 @@ def test_model_params_validation():
         ModelParams(Model.SUPPORT, 0.5, -0.1)
     with pytest.raises(ValueError):
         ModelParams("model1", 0.5, 0.5)
+
+
+def test_model_params_take_a_model_or_its_value():
+    assert ModelParams(1, 0.3, 0.6) == ModelParams(Model.AGGRESSION, 0.3, 0.6)
+    assert ModelParams(2, 0.3, 0.6).model is Model.SUPPORT
+    with pytest.raises(ValueError):
+        ModelParams(3, 0.5, 0.5)

@@ -45,6 +45,25 @@ def test_spec_validation():
         SweepSpec(scenario=Scenario.MODEL1_PLAIN, vc=2.0)
 
 
+def test_spec_engine_value_runs_that_engine():
+    by_value = small(Scenario.MODEL1_SC_BLIND, engine="exact", ensemble_size=50)
+    by_member = small(Scenario.MODEL1_SC_BLIND, engine=Engine.EXACT, ensemble_size=50)
+    assert by_value.engine is Engine.EXACT
+    grid_by_value, grid_by_member = run_sweep(by_value), run_sweep(by_member)
+    for name in by_member.field_names:
+        np.testing.assert_array_equal(grid_by_value.fields[name], grid_by_member.fields[name])
+
+
+def test_spec_takes_a_scenario_value_and_rejects_unknown_values():
+    by_value = SweepSpec(scenario="model2-sc-gender", engine="monte-carlo")
+    assert by_value == SweepSpec(scenario=Scenario.MODEL2_SC_GENDER, engine=Engine.MONTE_CARLO)
+    assert by_value.scenario is Scenario.MODEL2_SC_GENDER
+    with pytest.raises(ValueError):
+        SweepSpec(scenario="nope")
+    with pytest.raises(ValueError):
+        SweepSpec(scenario=Scenario.MODEL1_PLAIN, engine="exactly")
+
+
 def test_grid_axis_includes_both_endpoints():
     spec = small(Scenario.MODEL1_PLAIN, resolution=11)
     axis = spec.grid
