@@ -36,7 +36,7 @@ from .output import (
     write_trajectory_csv,
     write_trajectory_text,
 )
-from .states import Model, ModelParams
+from .states import Model, ModelParams, validate_param
 from .sweep import Scenario, SweepSpec, run_sweep
 
 
@@ -187,39 +187,42 @@ def _by_name(cls, values: dict):
     return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
-def _out(cfg: dict, suffix: str) -> Path:
-    """The --out prefix with suffix appended; unlike with_suffix, keeps a dot in its name."""
-    return Path(cfg["out"]).with_name(Path(cfg["out"]).name + suffix)
+def _out(cfg: dict, *suffixes: str) -> list[Path]:
+    """--out plus each suffix (unlike with_suffix, keeps a dot); "" or "." fails before the run."""
+    return [Path(cfg["out"]).with_name(Path(cfg["out"]).name + suffix) for suffix in suffixes]
 
 
 def _cmd_trajectory(cfg: dict) -> int:
+    text, csv, meta = _out(cfg, ".txt", ".csv", "_meta.txt")
     params = _by_name(ModelParams, cfg)
     trajectory = sample_trajectory(cfg["start"], params, cfg["steps"], cfg["seed"])
     for line in format_trajectory(trajectory):
         print(line)
-    write_trajectory_text(_out(cfg, ".txt"), trajectory)
-    write_trajectory_csv(_out(cfg, ".csv"), trajectory)
-    write_meta(_out(cfg, "_meta.txt"), cfg)
+    write_trajectory_text(text, trajectory)
+    write_trajectory_csv(csv, trajectory)
+    write_meta(meta, cfg)
     return 0
 
 
 def _cmd_evolve(cfg: dict) -> int:
+    csv, meta = _out(cfg, ".csv", "_meta.txt")
     kernel = build_couple_kernel(_by_name(ModelParams, cfg))
     trace = evolve_trace(delta_distribution(cfg["start"]), kernel, cfg["steps"])
-    write_distribution_trace_csv(_out(cfg, ".csv"), trace)
-    write_meta(_out(cfg, "_meta.txt"), cfg)
-    print(f"wrote {_out(cfg, '.csv')}")
+    write_distribution_trace_csv(csv, trace)
+    write_meta(meta, cfg)
+    print(f"wrote {csv}")
     return 0
 
 
 def _cmd_selfconsistent(cfg: dict) -> int:
+    csv, meta = _out(cfg, ".csv", "_meta.txt")
     params, config = _by_name(ModelParams, cfg), _by_name(FeedbackConfig, cfg)
     trace = self_consistent_run(params, config, start=cfg["start"], master_seed=cfg["seed"])
-    write_feedback_csv(_out(cfg, ".csv"), trace)
-    write_meta(_out(cfg, "_meta.txt"), cfg)
+    write_feedback_csv(csv, trace)
+    write_meta(meta, cfg)
     last = trace[-1]
     print(f"final p1={last.p1:.6f} p2={last.p2:.6f} v1={last.v1:.6f} v2={last.v2:.6f}")
-    print(f"wrote {_out(cfg, '.csv')}")
+    print(f"wrote {csv}")
     return 0
 
 
@@ -243,10 +246,9 @@ def _cmd_sweep(cfg: dict) -> int:
 
 def _cmd_audit_kernel(cfg: dict) -> int:
     model = Model(cfg["model"])
+    p2 = cfg["param"] if cfg["param2"] is None else validate_param(cfg["param2"], "param2")
     if cfg["couple"]:
-        p2 = cfg["param"] if cfg["param2"] is None else cfg["param2"]
-        kernel = build_couple_kernel(ModelParams(model=model, p1=cfg["param"], p2=p2))
-        table = kernel.reshape(4, 4, 4, 4)
+        table = build_couple_kernel(ModelParams(model, cfg["param"], p2)).reshape(4, 4, 4, 4)
         header = ["s1", "s2", "s1_next", "s2_next", "probability"]
     else:
         table = individual_kernel(model, cfg["param"])

@@ -17,15 +17,12 @@ Gender-blind feedback applies the average (v1+v2)/2 to both partners;
 gender-specific feedback applies v1 to partner 1 and v2 to partner 2.
 
 Both engines run a stack of N cells at once, one cell being N = 1, and
-every turn takes one `measure` of the stack. The exact engine updates p
-as arrays; numpy's array power does not depend on a cell's place in the
-stack, but its last bits may depend on the numpy build. The Monte Carlo
-engine updates each p on Python floats, whose libm `**` differs from
-numpy's in the last bit for some inputs: that keeps its grids identical
-to those of the per-cell engine it replaced. f and g fix 0 and 1 exactly,
-so a cell with both p at 0 or 1 sits at a fixed point: sweeps measure such
-a cell only at the final turn, while traces (self_consistent_run) measure
-every turn.
+every turn takes one `measure` of the stack. Both update p as arrays
+with libm's pow, the `**` of Python floats, so a cell's update does not
+depend on its place in the stack. f and g fix 0 and 1 exactly, so a cell
+with both p at 0 or 1 sits at a fixed point: sweeps measure such a cell
+only at the final turn, while traces (self_consistent_run) measure every
+turn.
 """
 
 from __future__ import annotations
@@ -92,32 +89,32 @@ class TurnRecord:
 FeedbackTrace = list[TurnRecord]
 
 
-def _where(condition, above, below):
-    """np.where on arrays; plain selection on Python floats, whose `**` stays libm's."""
-    if isinstance(condition, np.ndarray):
-        return np.where(condition, above, below)
-    return above if condition else below
+def _power_update(p, grows, up, down):
+    """1 - (1-p)^up where grows, p^down elsewhere, by libm's pow; floats give a float."""
+    new = np.where(grows, 1.0 - np.float_power(1.0 - p, up), np.float_power(p, down))
+    return new if new.ndim else float(new)
 
 
 def f_update(a, v, vc):
     """Aggressiveness polarization: grows above the threshold, decays below.
 
     a' = 1 - (1-a)^(1+v-vc) if v > vc, else a^(vc-v+1). Both branches fix
-    0 and 1 and leave a unchanged at v = vc. Floats give a float; arrays
-    give an array, computed elementwise.
+    0 and 1 and leave a unchanged at v = vc. Floats give a float, arrays
+    an array; both use libm's pow, so each entry has the float form's bits.
     """
     a, v, vc = validate_param(a, "a"), validate_param(v, "v"), validate_param(vc, "vc")
-    return _where(v > vc, 1.0 - (1.0 - a) ** (1.0 + v - vc), a ** (vc - v + 1.0))
+    return _power_update(a, v > vc, 1.0 + v - vc, vc - v + 1.0)
 
 
 def g_update(supp, v, vc):
     """Support erosion: shrinks above the threshold, recovers below.
 
     s' = s^(v-vc+1) if v > vc, else 1 - (1-s)^(1+vc-v). Floats give a
-    float; arrays give an array, computed elementwise.
+    float, arrays an array; both use libm's pow, so each entry has the
+    float form's bits.
     """
     supp, v, vc = validate_param(supp, "supp"), validate_param(v, "v"), validate_param(vc, "vc")
-    return _where(v > vc, supp ** (v - vc + 1.0), 1.0 - (1.0 - supp) ** (1.0 + vc - v))
+    return _power_update(supp, v <= vc, 1.0 + vc - v, v - vc + 1.0)
 
 
 def measure(
@@ -150,10 +147,8 @@ def feedback_turns(
     With _skip_settled, turns before the last measure and update only the
     cells not at a corner of [0,1]^2, and their fields hold just those rows.
     """
-    f_or_g = f_update if model is Model.AGGRESSION else g_update
+    update = f_update if model is Model.AGGRESSION else g_update
     exact = config.engine is Engine.EXACT
-    # np.vectorize calls f_or_g on Python floats, so Monte Carlo's `**` is libm's
-    update = f_or_g if exact else np.vectorize(f_or_g, otypes=[float])
     for turn in range(config.turns + 1):
         moving = np.ones(len(p1), dtype=bool)
         if _skip_settled and turn < config.turns:

@@ -327,6 +327,36 @@ def test_unwritable_outdir_fails_before_computing(capsys, tmp_path, monkeypatch)
     assert "runtime error" in stderr and "sweep ran" not in stderr
 
 
+@pytest.mark.parametrize("prefix", ["", "."], ids=["empty", "dot"])
+@pytest.mark.parametrize(
+    "command,run",
+    [("trajectory", "sample_trajectory"), ("evolve", "evolve_trace"),
+     ("selfconsistent", "self_consistent_run")],
+)
+def test_out_prefix_without_a_file_name_fails_before_computing(
+    capsys, tmp_path, monkeypatch, command, run, prefix
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran before its files were named")
+
+    monkeypatch.setattr(cli, run, no_run)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli(capsys, command, "--out", prefix)
+    assert code == 2
+    assert stdout == "" and "ran before" not in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_audit_kernel_rejects_param2_outside_unit_without_couple(capsys, tmp_path):
+    # the fuzz test below covers --couple
+    config = tmp_path / "run.cfg"
+    config.write_text("param2 = 5\n")
+    for argv in (["--param2", "5"], ["--config", str(config)]):
+        code, stdout, stderr = run_cli(capsys, "audit-kernel", *argv)
+        assert code == 2, argv
+        assert stdout == "" and "param2 must lie in [0, 1]" in stderr
+
+
 @pytest.mark.parametrize(
     "argv,config_text",
     [(["--start", "foo"], None), (["--start", "1,2,3"], None), ([], "start = foo\n")],
@@ -520,7 +550,7 @@ REJECTED = {
 
 
 def _valid_base(command, directory):
-    """The command with any output kept inside `directory` (--couple so param2 is read)."""
+    """The command with any output kept inside `directory` (--couple: the couple kernel too)."""
     couple = ["--couple"] if command == "audit-kernel" else []
     flag = "--outdir" if command == "sweep" else "--out"
     return [command, *couple, f"{flag}={directory / command}"]

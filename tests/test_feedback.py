@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from couplesim import (
@@ -18,6 +18,7 @@ from couplesim import (
 from couplesim.feedback import feedback_turns, measure
 from couplesim.observables import MODEL1_FIELDS, MODEL2_FIELDS
 from couplesim.rng import derive_seed_array
+from scalar_feedback import paper_update
 
 
 def test_f_update_values():
@@ -80,10 +81,26 @@ def test_array_updates_match_scalar_form(vc, pairs):
     assert np.abs(g_update(p, at_threshold, vc) - p).max() <= 2.0**-53
 
 
+@example(0.0, [(0.0, 0.0), (1.0, 1.0), (1.0, None), (0.5, 1.0)])
+@example(1.0, [(0.0, 0.0), (1.0, 1.0), (5e-324, None), (1.0 - 2.0**-53, 0.0)])
+@given(corner_or_unit, st.lists(st.tuples(corner_or_unit, st.one_of(st.none(), corner_or_unit)),
+                                min_size=1, max_size=64))
+def test_updates_are_the_paper_formulas_under_python_pow(vc, pairs):
+    # expected values on Python floats, whose `**` is libm's pow; v None means v == vc
+    p = [x for x, _ in pairs]
+    v = [vc if y is None else y for _, y in pairs]
+    for model, fn in ((Model.AGGRESSION, f_update), (Model.SUPPORT, g_update)):
+        expected = [paper_update(model, x, y, vc).hex() for x, y in zip(p, v)]
+        scalar = [fn(x, y, vc) for x, y in zip(p, v)]
+        assert all(type(value) is float for value in scalar)
+        assert [value.hex() for value in scalar] == expected
+        assert [value.hex() for value in fn(np.array(p), np.array(v), vc).tolist()] == expected
+
+
 @given(unit, unit)
 def test_updates_fix_zero_and_one_exactly(v, vc):
     # sweeps stop measuring a cell once both of its parameters sit at 0 or 1;
-    # the Monte Carlo engine updates on Python floats, the exact one on arrays
+    # both engines update on arrays, and the float form must agree
     for fn in (f_update, g_update):
         for p in (0.0, 1.0):
             scalar = fn(p, v, vc)
@@ -225,8 +242,8 @@ def test_config_takes_enum_values_as_members():
 
 @pytest.mark.parametrize("model,update", [(Model.AGGRESSION, f_update), (Model.SUPPORT, g_update)])
 def test_monte_carlo_stack_updates_each_cell_on_python_floats(model, update):
-    # numpy's array power can differ from libm's pow in the last bit; the
-    # Monte Carlo engine keeps the scalar form so its cells stay bit-stable
+    # numpy's array `**` can differ from libm's pow in the last bit; the
+    # stacked update uses libm's pow, so each cell gets the float form's bits
     gen = np.random.default_rng(0)
     p1, p2 = gen.random(200), gen.random(200)
     config = FeedbackConfig(

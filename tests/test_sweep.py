@@ -4,6 +4,7 @@ import pytest
 from couplesim import (
     Engine,
     FeedbackConfig,
+    GenderMode,
     Model,
     ModelParams,
     Scenario,
@@ -26,6 +27,7 @@ from couplesim import feedback, sweep
 from couplesim.kernels import couple_kernels
 from couplesim.observables import read_fields
 from couplesim.rng import derive_seed_array
+from scalar_feedback import scalar_feedback_fields
 
 
 def small(scenario, **kw):
@@ -384,3 +386,20 @@ def test_model1_plain_grid_matches_absorption_probabilities():
     start = b[:, transient.index(encode(spec.start))]
     for k, name in enumerate(basins):
         assert np.abs(start[:, k] - grid.fields[name].ravel()).max() <= 1e-6, name
+
+
+@pytest.mark.parametrize(
+    "scenario", [s for s in Scenario if s.self_consistent], ids=lambda s: s.value
+)
+def test_exact_self_consistent_cells_equal_the_scalar_loop(scenario):
+    # every cell, bit for bit, against one cell run turn by turn in plain
+    # Python with the paper's update on Python floats
+    spec = SweepSpec(scenario=scenario, resolution=8)
+    grid = run_sweep(spec)
+    blind = scenario.gender_mode is GenderMode.BLIND
+    axis = spec.grid.tolist()
+    expected = np.array(
+        [[scalar_feedback_fields(scenario.model, a, b, blind) for b in axis] for a in axis]
+    )
+    values = np.stack([grid.fields[name] for name in spec.field_names], axis=-1)
+    assert values.tobytes() == expected.tobytes(), (values != expected).sum()
