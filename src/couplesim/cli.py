@@ -36,7 +36,7 @@ from .output import (
     write_trajectory_csv,
     write_trajectory_text,
 )
-from .states import Model, ModelParams, validate_param
+from .states import CANONICAL_START, Model, ModelParams, validate_param
 from .sweep import Scenario, SweepSpec, run_sweep
 
 
@@ -91,49 +91,48 @@ def _partners(default: float) -> dict[str, _Option]:
     return {f"p{i}": _Option(float, default, aliases=(f"--a{i}", f"--s{i}")) for i in (1, 2)}
 
 
+def _field_options(cls, **converters: Callable[[str], Any]) -> dict[str, _Option]:
+    """Options named after fields of cls, defaulting to the fields' defaults (an enum's value)."""
+    defaults = {name: getattr(cls, name) for name in converters}
+    return {name: _Option(convert, getattr(defaults[name], "value", defaults[name]))
+            for name, convert in converters.items()}
+
+
 # The only declaration of each command's options, for flags and config keys
-# alike. Key order is the order of the help text and of *_meta.txt.
+# alike. Key order is the order of the help text and of *_meta.txt. The
+# reference setup's defaults are read from FeedbackConfig and SweepSpec.
 _SCHEMAS: dict[str, dict[str, _Option]] = {
     "trajectory": {
         "model": _Option(_OneOf(Model), 1),
         **_partners(0.3),
         "steps": _Option(int, 20),
         "seed": _Option(int, 0),
-        "start": _Option(_parse_start, (1, 0), "initial couple state, e.g. 1,0"),
+        "start": _Option(_parse_start, CANONICAL_START, "initial couple state, e.g. 1,0"),
         "out": _Option(str, "trajectory", "output prefix for .txt/.csv files"),
     },
     "evolve": {
         "model": _Option(_OneOf(Model), 1),
         **_partners(0.3),
         "steps": _Option(int, 20),
-        "start": _Option(_parse_start, (1, 0)),
+        "start": _Option(_parse_start, CANONICAL_START),
         "out": _Option(str, "evolve", "output prefix for the trace CSV"),
     },
     "selfconsistent": {
         "model": _Option(_OneOf(Model), 1),
         **_partners(0.5),
-        "vc": _Option(float, 0.1),
-        "inner_steps": _Option(int, 20),
-        "turns": _Option(int, 20),
-        "gender_mode": _Option(_OneOf(GenderMode), "blind"),
-        "engine": _Option(_OneOf(Engine), "exact"),
-        "ensemble_size": _Option(int, 1000),
+        **_field_options(FeedbackConfig, vc=float, inner_steps=int, turns=int,
+                         gender_mode=_OneOf(GenderMode), engine=_OneOf(Engine), ensemble_size=int),
         "seed": _Option(int, 0),
-        "start": _Option(_parse_start, (1, 0)),
+        "start": _Option(_parse_start, CANONICAL_START),
         "out": _Option(str, "selfconsistent"),
     },
     "sweep": {
         "scenario": _Option(_OneOf(Scenario), "model1-plain"),
-        "resolution": _Option(int, 51),
-        "runs_per_cell": _Option(int),
-        "engine": _Option(_OneOf(Engine), "exact"),
-        "ensemble_size": _Option(int, 1000),
+        **_field_options(SweepSpec, resolution=int, runs_per_cell=int, engine=_OneOf(Engine),
+                         ensemble_size=int),
         "seed": _Option(int, 0),
-        "vc": _Option(float, 0.1),
-        "inner_steps": _Option(int, 20),
-        "turns": _Option(int, 20),
-        "plain_steps": _Option(int),
-        "start": _Option(_parse_start, (1, 0)),
+        **_field_options(SweepSpec, vc=float, inner_steps=int, turns=int, plain_steps=int,
+                         start=_parse_start),
         "threads": _Option(int, 1, "worker processes sharing Monte Carlo stacks (default 1)"),
         "outdir": _Option(str),
         "pgm": _Option(_parse_bool, False, "also write PGM heatmaps"),
@@ -188,8 +187,15 @@ def _by_name(cls, values: dict):
 
 
 def _out(cfg: dict, *suffixes: str) -> list[Path]:
-    """--out plus each suffix (unlike with_suffix, keeps a dot); "" or "." fails before the run."""
-    return [Path(cfg["out"]).with_name(Path(cfg["out"]).name + suffix) for suffix in suffixes]
+    """--out plus each suffix (unlike with_suffix, keeps a dot), its directory made.
+
+    A prefix without a file name ("" or ".") or a file where the directory
+    should be fails here, before the run.
+    """
+    out = Path(cfg["out"])
+    paths = [out.with_name(out.name + suffix) for suffix in suffixes]
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return paths
 
 
 def _cmd_trajectory(cfg: dict) -> int:
@@ -246,6 +252,8 @@ def _cmd_sweep(cfg: dict) -> int:
 
 def _cmd_audit_kernel(cfg: dict) -> int:
     model = Model(cfg["model"])
+    if cfg["out"]:  # its directory, made before the table is built
+        Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)
     p2 = cfg["param"] if cfg["param2"] is None else validate_param(cfg["param2"], "param2")
     if cfg["couple"]:
         table = build_couple_kernel(ModelParams(model, cfg["param"], p2)).reshape(4, 4, 4, 4)

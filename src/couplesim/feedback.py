@@ -36,9 +36,9 @@ import numpy as np
 from .kernels import couple_kernels
 from .markov import delta_distribution, evolve
 from .montecarlo import estimate_distributions
-from .observables import AbsorptionBasins, PathWeights, read_fields
+from .observables import RECORDS, AbsorptionBasins, PathWeights, read_fields
 from .rng import derive_seed_array
-from .states import CoupleState, Model, ModelParams, validate_param
+from .states import CANONICAL_START, CoupleState, Model, ModelParams, validate_param
 
 
 class GenderMode(Enum):
@@ -134,8 +134,8 @@ def measure(
 
 
 def feedback_turns(
-    model: Model, p1, p2, config: FeedbackConfig, start: CoupleState = (1, 0), master_seed=0,
-    _skip_settled: bool = False,
+    model: Model, p1, p2, config: FeedbackConfig, start: CoupleState = CANONICAL_START,
+    master_seed=0, _skip_settled: bool = False,
 ) -> Iterator[tuple]:
     """Yield (p1, p2, fields) for turns 0..config.turns, updating in between.
 
@@ -173,7 +173,7 @@ def feedback_turns(
 def self_consistent_run(
     init_params: ModelParams,
     config: FeedbackConfig,
-    start: CoupleState = (1, 0),
+    start: CoupleState = CANONICAL_START,
     master_seed: int = 0,
 ) -> FeedbackTrace:
     """Iterate measure-then-update for config.turns turns.
@@ -186,10 +186,9 @@ def self_consistent_run(
     """
     model = init_params.model
     p1, p2 = np.array([init_params.p1]), np.array([init_params.p2])
-    kind = AbsorptionBasins if model is Model.AGGRESSION else PathWeights
     trace: FeedbackTrace = []
     turns = feedback_turns(model, p1, p2, config, start, master_seed)
     for turn, (p1, p2, fields) in enumerate(turns):
         *obs, v1, v2 = fields[0].tolist()
-        trace.append(TurnRecord(turn, float(p1[0]), float(p2[0]), v1, v2, kind(*obs)))
+        trace.append(TurnRecord(turn, float(p1[0]), float(p2[0]), v1, v2, RECORDS[model](*obs)))
     return trace

@@ -111,14 +111,26 @@ def individual_kernel(model: Model, param: float) -> np.ndarray:
     return kernel
 
 
+def partner_tables(model: Model, p1, p2) -> tuple[np.ndarray, np.ndarray]:
+    """Both partners' (N,4,4,4) tables of N cells, indexed [n, s1+1, s2+1, next+1].
+
+    Each partner reads its table at (own state, partner's state): partner 1
+    at (s1, s2), partner 2 at (s2, s1), so partner 2's table is a
+    transposed view. This is the only place the couple state is swapped.
+    """
+    k2 = individual_kernels(model, p2, "p2").transpose(0, 2, 1, 3)
+    return individual_kernels(model, p1, "p1"), k2
+
+
 def couple_kernels(model: Model, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Read-only (N,16,16) product kernels of N cells with parameters p1[n], p2[n].
 
-    Partner 1 sees partner 2's old state and vice versa. All N tables come
-    from one broadcast of the affine const + slope * p tensors.
+    Both partners update in parallel from the old pair: the outer product
+    of the two partner_tables, built from one broadcast of the affine
+    const + slope * p tensors.
     """
-    k1, k2 = individual_kernels(model, p1, "p1"), individual_kernels(model, p2, "p2")
-    kernels = np.einsum("nabi,nbaj->nabij", k1, k2).reshape(-1, 16, 16)
+    k1, k2 = partner_tables(model, p1, p2)
+    kernels = (k1[..., :, None] * k2[..., None, :]).reshape(-1, 16, 16)
     kernels.setflags(write=False)
     return kernels
 

@@ -29,26 +29,28 @@ def step(dist: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return (dist[..., None, :] @ kernel)[..., 0, :]
 
 
+def _walk(dist: np.ndarray, kernel: np.ndarray, steps: int):
+    """Yield the distribution (or stack) at t = 0..steps, holding only the current one."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    current = np.array(dist, dtype=float)
+    yield current
+    for _ in range(steps):
+        current = step(current, kernel)
+        yield current
+
+
 def evolve(dist: np.ndarray, kernel: np.ndarray, steps: int) -> np.ndarray:
     """Apply `step` `steps` times; steps=0 returns the input unchanged.
 
     No per-step renormalization is performed, so numerical drift stays
     visible.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    current = np.array(dist, dtype=float)
-    for _ in range(steps):
-        current = step(current, kernel)
+    for current in _walk(dist, kernel, steps):
+        pass
     return current
 
 
 def evolve_trace(dist: np.ndarray, kernel: np.ndarray, steps: int) -> np.ndarray:
     """(steps+1, *dist.shape) array of the distribution (or stack) at t = 0..steps."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    trace = np.empty((steps + 1,) + np.shape(dist))
-    trace[0] = dist
-    for t in range(steps):
-        trace[t + 1] = step(trace[t], kernel)
-    return trace
+    return np.stack(list(_walk(dist, kernel, steps)))

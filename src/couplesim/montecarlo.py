@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import individual_kernels
+from .kernels import partner_tables
 from .rng import counter_uniform, derive_seed_array
 from .states import CoupleState, Model, ModelParams, decode, encode
 
@@ -38,11 +38,11 @@ def _walk(start: CoupleState, model: Model, p1, p2, steps: int, seeds, cells):
     p1[cells[k]], p2[cells[k]]); its draw counters do not depend on the
     other trajectories, so any stack reproduces the sequential path.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     # bounds[k][16 n + 4 x1 + x2] is a partner's k-th cumulative threshold
-    # in cell n at pair state (x1, x2); partner 2's tables are transposed so
-    # that both partners read at the same flat index.
-    cum1 = individual_kernels(model, p1, "p1").cumsum(axis=3)
-    cum2 = individual_kernels(model, p2, "p2").cumsum(axis=3).transpose(0, 2, 1, 3)
+    # in cell n at pair state (x1, x2), the flat index both partners share.
+    cum1, cum2 = (table.cumsum(axis=3) for table in partner_tables(model, p1, p2))
     bounds1, bounds2 = ([cum[..., k].ravel() for k in range(3)] for cum in (cum1, cum2))
     base = 16 * cells
     flat = base + encode(start)
@@ -63,8 +63,6 @@ def sample_trajectory(
 
     The stacked walk with one cell and one trajectory, every state recorded.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     seeds = np.array([int(seed) % 2**64], dtype=np.uint64)
     walk = _walk(start, params.model, [params.p1], [params.p2], steps, seeds, np.zeros(1, int))
     states = tuple(decode(int(flat[0])) for flat in walk)
@@ -83,8 +81,6 @@ def estimate_distributions(
     """
     if ensemble_size < 1:
         raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     cells = len(p1)
     seeds = derive_seed_array(master_seeds, np.arange(ensemble_size)[:, None])
     seeds = np.broadcast_to(seeds, (ensemble_size, cells)).T.ravel()

@@ -55,18 +55,18 @@ class PathWeights:
         return asdict(self)
 
 
-# The columns of read_fields: each model's observables, then v1 and v2.
-MODEL1_FIELDS = (*(f.name for f in fields(AbsorptionBasins)), "v1", "v2")
-MODEL2_FIELDS = (*(f.name for f in fields(PathWeights)), "v1", "v2")
+# Each model's record of observables; the columns of read_fields are its
+# fields, then v1 and v2.
+RECORDS = {Model.AGGRESSION: AbsorptionBasins, Model.SUPPORT: PathWeights}
+FIELD_NAMES = {m: (*(f.name for f in fields(record)), "v1", "v2") for m, record in RECORDS.items()}
 
 
 def read_fields(model: Model, dist: np.ndarray, p1=0.0, p2=0.0) -> np.ndarray:
     """(N, F) fields of an (N,16) stack of distributions; a (16,) one gives N = 1.
 
-    Columns follow MODEL1_FIELDS or MODEL2_FIELDS. p1 and p2 (length N, or
-    floats for a (16,) dist) are the supports that split P(2,2) into M and
-    S; the aggression model ignores them. Every sum runs left to right as
-    written.
+    Columns follow FIELD_NAMES[model]. p1 and p2 (length N, or floats for
+    a (16,) dist) are the supports that split P(2,2) into M and S; the
+    aggression model ignores them. Every sum runs left to right as written.
     """
     by_state = np.reshape(dist, (-1, 16)).T
 

@@ -17,6 +17,9 @@ STATE_NAMES = {-1: "passive", 0: "normal", 1: "upset", 2: "violent"}
 
 CoupleState = tuple[int, int]
 
+# The paper's canonical start: partner 1 upset, partner 2 normal.
+CANONICAL_START: CoupleState = (1, 0)
+
 
 class Model(Enum):
     """Which transition table drives the couple."""

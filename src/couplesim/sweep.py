@@ -22,9 +22,9 @@ from enum import Enum
 import numpy as np
 
 from .feedback import Engine, FeedbackConfig, GenderMode, feedback_turns, measure
-from .observables import MODEL1_FIELDS, MODEL2_FIELDS
+from .observables import FIELD_NAMES
 from .rng import derive_seed_array
-from .states import CoupleState, Model, encode
+from .states import CANONICAL_START, CoupleState, Model, encode
 
 # Cells per exact stack. Every turn holds an (N,16,16) kernel stack, 2 KB a
 # cell, so the bound keeps a full grid's memory near that of one stack.
@@ -67,14 +67,14 @@ class SweepSpec:
     scenario: Scenario
     resolution: int = 51
     runs_per_cell: int | None = None
-    engine: Engine = Engine.EXACT
-    ensemble_size: int = 1000
+    engine: Engine = FeedbackConfig.engine
+    ensemble_size: int = FeedbackConfig.ensemble_size
     master_seed: int = 0
-    vc: float = 0.1
-    inner_steps: int = 20
-    turns: int = 20
+    vc: float = FeedbackConfig.vc
+    inner_steps: int = FeedbackConfig.inner_steps
+    turns: int = FeedbackConfig.turns
     plain_steps: int | None = None
-    start: CoupleState = (1, 0)
+    start: CoupleState = CANONICAL_START
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenario", Scenario(self.scenario))
@@ -97,7 +97,7 @@ class SweepSpec:
 
     @property
     def field_names(self) -> tuple[str, ...]:
-        return MODEL1_FIELDS if self.scenario.model is Model.AGGRESSION else MODEL2_FIELDS
+        return FIELD_NAMES[self.scenario.model]
 
     @property
     def dominance_fields(self) -> tuple[str, ...]:

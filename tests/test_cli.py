@@ -327,11 +327,18 @@ def test_unwritable_outdir_fails_before_computing(capsys, tmp_path, monkeypatch)
     assert "runtime error" in stderr and "sweep ran" not in stderr
 
 
-@pytest.mark.parametrize("prefix", ["", "."], ids=["empty", "dot"])
+OUT_RUNS = [("trajectory", "sample_trajectory"), ("evolve", "evolve_trace"),
+            ("selfconsistent", "self_consistent_run"), ("audit-kernel", "individual_kernel")]
+
+
+# "" and "." name no file (exit 2); "blocker/x" needs a directory where a file
+# is (exit 3). audit-kernel writes to stdout for "", so only the last applies.
 @pytest.mark.parametrize(
-    "command,run",
-    [("trajectory", "sample_trajectory"), ("evolve", "evolve_trace"),
-     ("selfconsistent", "self_consistent_run")],
+    "command,run,prefix",
+    [pytest.param(command, run, prefix, id=f"{command}-{run}-{name}")
+     for command, run in OUT_RUNS
+     for prefix, name in (("", "empty"), (".", "dot"), ("blocker/x", "blocked"))
+     if command != "audit-kernel" or name == "blocked"],
 )
 def test_out_prefix_without_a_file_name_fails_before_computing(
     capsys, tmp_path, monkeypatch, command, run, prefix
@@ -341,10 +348,24 @@ def test_out_prefix_without_a_file_name_fails_before_computing(
 
     monkeypatch.setattr(cli, run, no_run)
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "blocker").write_text("a file, not a directory")
     code, stdout, stderr = run_cli(capsys, command, "--out", prefix)
-    assert code == 2
+    assert code == (3 if prefix == "blocker/x" else 2)
     assert stdout == "" and "ran before" not in stderr
-    assert list(tmp_path.iterdir()) == []
+    assert [path.name for path in tmp_path.iterdir()] == ["blocker"]
+
+
+@pytest.mark.parametrize(
+    "command,argv",
+    [("trajectory", ["--steps", "2"]), ("evolve", ["--steps", "2"]),
+     ("selfconsistent", ["--turns", "1", "--inner-steps", "2"]), ("audit-kernel", [])],
+    ids=["trajectory", "evolve", "selfconsistent", "audit-kernel"],
+)
+def test_out_makes_its_directory(capsys, tmp_path, command, argv):
+    out = tmp_path / "no" / "such" / "x"
+    code, _, stderr = run_cli(capsys, command, *argv, "--out", str(out))
+    assert code == 0, stderr
+    assert any(out.parent.iterdir())
 
 
 def test_audit_kernel_rejects_param2_outside_unit_without_couple(capsys, tmp_path):

@@ -16,7 +16,7 @@ from couplesim import (
     self_consistent_run,
 )
 from couplesim.feedback import feedback_turns, measure
-from couplesim.observables import MODEL1_FIELDS, MODEL2_FIELDS
+from couplesim.observables import FIELD_NAMES
 from couplesim.rng import derive_seed_array
 from scalar_feedback import paper_update
 
@@ -257,6 +257,14 @@ def test_monte_carlo_stack_updates_each_cell_on_python_floats(model, update):
         assert after.tolist() == expected
 
 
+@pytest.mark.parametrize("engine", list(Engine), ids=lambda engine: engine.value)
+def test_measure_rejects_negative_steps_at_call_time(engine):
+    p1, p2 = np.array([0.2, 0.7]), np.array([0.5, 0.1])
+    seeds = None if engine is Engine.EXACT else np.array([3, 4], dtype=np.uint64)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        measure(Model.AGGRESSION, p1, p2, (1, 0), -1, 10, seeds)
+
+
 @settings(deadline=None)
 @given(
     model=st.sampled_from(list(Model)),
@@ -273,6 +281,6 @@ def test_measure_does_not_depend_on_stack_order(model, engine, cells, data):
     exact = engine is Engine.EXACT
     fields = measure(model, p1, p2, (1, 0), 6, 16, None if exact else seeds)
     shuffled = measure(model, p1[order], p2[order], (1, 0), 6, 16, None if exact else seeds[order])
-    width = len(MODEL1_FIELDS if model is Model.AGGRESSION else MODEL2_FIELDS)
+    width = len(FIELD_NAMES[model])
     assert fields.shape == shuffled.shape == (len(cells), width)
     assert shuffled.tobytes() == fields[order].tobytes()

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from couplesim import (
+    STATES,
     Model,
     ModelParams,
     absorbing_states,
@@ -13,7 +14,7 @@ from couplesim import (
     individual_kernel,
     tau,
 )
-from couplesim.kernels import couple_kernels, kernel_entries
+from couplesim.kernels import couple_kernels, kernel_entries, partner_tables
 
 from kernel_tables import AGGRESSION_TABLE, SUPPORT_TABLE, expected_nonzero
 
@@ -81,6 +82,17 @@ def test_couple_kernels_are_row_stochastic_for_any_parameters(pairs):
         assert kernels.shape == (len(pairs), 16, 16)
         assert (kernels >= 0.0).all()
         assert np.abs(kernels.sum(axis=2) - 1.0).max() <= 1e-15
+
+
+@given(st.sampled_from(list(Model)), unit, unit)
+def test_partner_tables_read_each_partner_at_own_then_partner_state(model, p1, p2):
+    k1, k2 = partner_tables(model, [p1], [p2])
+    assert k1.shape == k2.shape == (1, 4, 4, 4)
+    for x1 in STATES:
+        for x2 in STATES:
+            for y in STATES:
+                assert k1[0, x1 + 1, x2 + 1, y + 1] == tau(model, y, x1, x2, p1)
+                assert k2[0, x1 + 1, x2 + 1, y + 1] == tau(model, y, x2, x1, p2)
 
 
 def test_couple_kernels_are_read_only():

@@ -11,6 +11,7 @@ from couplesim import (
     evolve_trace,
     step,
 )
+from couplesim.kernels import couple_kernels
 
 ABSORBING = [encode(s) for s in ((0, 0), (2, 2), (2, -1), (-1, 2))]
 
@@ -124,3 +125,19 @@ def test_evolve_trace_shape_and_consistency():
     assert trace.shape == (8, 16)
     assert np.array_equal(trace[0], dist)
     assert np.array_equal(trace[-1], evolve(dist, kernel, 7))
+    # an (N,16) stack: row t is evolve(stack, kernels, t), bit for bit
+    p1, p2 = np.array([0.0, 0.4, 0.93]), np.array([1.0, 0.7, 0.12])
+    for model in Model:
+        kernels = couple_kernels(model, p1, p2)
+        stack = np.tile(delta_distribution((1, 0)), (3, 1))
+        trace = evolve_trace(stack, kernels, 7)
+        assert trace.shape == (8, 3, 16)
+        for t in range(8):
+            assert trace[t].tobytes() == evolve(stack, kernels, t).tobytes()
+
+
+@pytest.mark.parametrize("run", [evolve, evolve_trace])
+def test_negative_steps_raise_at_call_time(run):
+    kernel = build_couple_kernel(ModelParams(Model.SUPPORT, 0.4, 0.7))
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        run(delta_distribution((1, 0)), kernel, -1)

@@ -163,6 +163,19 @@ def test_estimate_distribution_properties():
         estimate_distribution((1, 0), AGG, 5, 0, master_seed=2)
 
 
+@pytest.mark.parametrize(
+    "sample",
+    [lambda steps: sample_trajectory((1, 0), AGG, steps, seed=0),
+     lambda steps: estimate_distribution((1, 0), AGG, steps, 10, master_seed=0),
+     lambda steps: estimate_distributions(
+         (1, 0), Model.SUPPORT, [0.2, 0.7], [0.5, 0.1], steps, 10, [0, 1])],
+    ids=["sample_trajectory", "estimate_distribution", "estimate_distributions"],
+)
+def test_negative_steps_raise_at_call_time(sample):
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        sample(-1)
+
+
 def test_estimate_agrees_with_exact_evolution():
     params = ModelParams(Model.AGGRESSION, 0.3, 0.3)
     kernel = build_couple_kernel(params)
