@@ -29,8 +29,7 @@ from .output import (
     write_csv,
     write_distribution_trace_csv,
     write_feedback_csv,
-    write_long_csv,
-    write_matrix_csv,
+    write_grid_csvs,
     write_meta,
     write_pgm,
     write_trajectory_csv,
@@ -239,12 +238,11 @@ def _cmd_sweep(cfg: dict) -> int:
     outdir = Path(cfg["outdir"] or f"sweep-{spec.scenario.value}")
     outdir.mkdir(parents=True, exist_ok=True)  # a bad outdir fails before the computation
     grid = run_sweep(spec, workers=cfg["threads"])
-    axis = spec.grid
-    for name in spec.field_names:
-        write_matrix_csv(outdir / f"{name}.csv", grid.fields[name], axis)
-        if cfg["pgm"]:
+    matrix_paths = {name: outdir / f"{name}.csv" for name in spec.field_names}
+    write_grid_csvs(grid.fields, spec.grid, matrix_paths, outdir / "combined.csv")
+    if cfg["pgm"]:
+        for name in spec.field_names:
             write_pgm(outdir / f"{name}.pgm", grid.fields[name])
-    write_long_csv(outdir / "combined.csv", grid.fields, axis)
     write_meta(outdir / "meta.txt", cfg)
     print(f"wrote {len(spec.field_names)} field grids to {outdir}")
     return 0
@@ -252,7 +250,9 @@ def _cmd_sweep(cfg: dict) -> int:
 
 def _cmd_audit_kernel(cfg: dict) -> int:
     model = Model(cfg["model"])
-    if cfg["out"]:  # its directory, made before the table is built
+    if cfg["out"]:  # a file name, and its directory made, before the table is built
+        if cfg["out"].endswith("/") or Path(cfg["out"]).is_dir():
+            raise ValueError(f"--out {cfg['out']!r} names a directory, not a file")
         Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)
     p2 = cfg["param"] if cfg["param2"] is None else validate_param(cfg["param2"], "param2")
     if cfg["couple"]:

@@ -1,5 +1,10 @@
 """File formats: CSV (header row, '.' decimals, LF endings) and binary PGM.
 
+A sweep's grids go to CSV in one pass (write_grid_csvs): each p1 row of
+every field is formatted once, with repr, and written both to the field's
+matrix CSV and to the long CSV. write_matrix_csv and write_long_csv are that
+pass with one kind of file.
+
 Heatmap orientation: column = p1 from 0 (left) to 1 (right), row = p2 from
 1 (top) to 0 (bottom), so the image reads like a phase diagram with p2 on
 the upward axis. Values are clipped to [0, 1] and mapped 0 -> black,
@@ -8,6 +13,7 @@ the upward axis. Values are clipped to [0, 1] and mapped 0 -> black,
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -46,23 +52,46 @@ def _reprs(values) -> list[str]:
     return [repr(v) for v in np.asarray(values, dtype=float).ravel().tolist()]
 
 
+def write_grid_csvs(
+    fields: Mapping[str, np.ndarray],
+    axis: np.ndarray,
+    matrix_paths: Mapping[str, Path | str] | None = None,
+    long_path: Path | str | None = None,
+) -> None:
+    """Matrix CSVs (matrix_paths[name] for fields[name]) and the long CSV in one pass.
+
+    Row i of every field is formatted once and written to each open file
+    before row i + 1 is read, so only one p1 row of text is held at a time.
+    """
+    matrix_paths = matrix_paths or {}
+    axis_texts = _reprs(axis)
+    with ExitStack() as stack:
+        matrices = [(name, stack.enter_context(open(path, "wb")))
+                    for name, path in matrix_paths.items()]
+        long = stack.enter_context(open(long_path, "wb")) if long_path is not None else None
+        header = (",".join(["p1", *axis_texts]) + "\n").encode("ascii")
+        for _, fh in matrices:
+            fh.write(header)
+        if long is not None:
+            long.write(b"p1,p2,field,value\n")
+        for i, p1 in enumerate(axis_texts):
+            row = {name: _reprs(values[i]) for name, values in fields.items()}
+            for name, fh in matrices:
+                fh.write((",".join([p1, *row[name]]) + "\n").encode("ascii"))
+            if long is not None:
+                lines = (f"{p1},{p2},{name},{texts[j]}\n"
+                         for j, p2 in enumerate(axis_texts) for name, texts in row.items())
+                long.write("".join(lines).encode("ascii"))
+
+
 def write_matrix_csv(path: Path | str, values: np.ndarray, axis: np.ndarray) -> None:
     """Matrix over the parameter plane: first column p1, one column per p2."""
-    axis_texts = _reprs(axis)
-    rows = (",".join([p1, *_reprs(row)]) for p1, row in zip(axis_texts, values))
-    _write_lines(path, [",".join(["p1", *axis_texts]), *rows])
+    write_grid_csvs({"values": values}, axis, matrix_paths={"values": path})
 
 
 def write_long_csv(path: Path | str, fields: Mapping[str, np.ndarray], axis: np.ndarray) -> None:
     """Long format: one (p1, p2, field, value) row per cell and field."""
-    axis_texts = _reprs(axis)
-    with open(path, "wb") as fh:  # one p1 row at a time keeps the text small
-        fh.write(b"p1,p2,field,value\n")
-        for i, p1 in enumerate(axis_texts):
-            columns = [(name, _reprs(values[i])) for name, values in fields.items()]
-            rows = (f"{p1},{p2},{name},{texts[j]}\n"
-                    for j, p2 in enumerate(axis_texts) for name, texts in columns)
-            fh.write("".join(rows).encode("ascii"))
+    write_grid_csvs(fields, axis, long_path=path)
 
 
 def write_pgm(path: Path | str, values: np.ndarray) -> None:

@@ -15,7 +15,6 @@ at 0 or 1, a fixed point of the feedback map, only at the final turn.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields
 from enum import Enum
 
@@ -178,6 +177,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
     if exact or workers <= 1:
         blocks = [_stack_fields(spec, stack) for stack in stacks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only pools pay for the import
+
         with ProcessPoolExecutor(max_workers=min(workers, len(stacks))) as pool:
             blocks = list(pool.map(_stack_fields, [spec] * len(stacks), stacks))
     per_run = np.concatenate(blocks).reshape(spec.resolution, spec.resolution, runs, -1)

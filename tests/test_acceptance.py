@@ -29,7 +29,7 @@ from couplesim import (
     step,
 )
 from couplesim.cli import main
-from couplesim.output import write_long_csv, write_matrix_csv, write_pgm
+from couplesim.output import write_grid_csvs, write_pgm
 
 from kernel_tables import AGGRESSION_TABLE, SUPPORT_TABLE, expected_nonzero
 
@@ -297,10 +297,10 @@ def test_criterion_10_determinism_and_runtime(default_sweeps, tmp_path):
     for tag, grid in (("a", reference), ("b", rerun)):
         sub = tmp_path / tag
         sub.mkdir()
+        matrix_paths = {name: sub / f"{name}.csv" for name in spec.field_names}
+        write_grid_csvs(grid.fields, spec.grid, matrix_paths, sub / "combined.csv")
         for name in spec.field_names:
-            write_matrix_csv(sub / f"{name}.csv", grid.fields[name], spec.grid)
             write_pgm(sub / f"{name}.pgm", grid.fields[name])
-        write_long_csv(sub / "combined.csv", grid.fields, spec.grid)
     for path in sorted((tmp_path / "a").iterdir()):
         if (tmp_path / "b" / path.name).read_bytes() != path.read_bytes():
             bytes_equal = False

@@ -17,9 +17,10 @@ from couplesim import (
     cli,
     encode,
     individual_kernel,
+    run_sweep,
 )
 from couplesim.cli import _resolve, build_parser, main
-from couplesim.output import write_meta
+from couplesim.output import write_long_csv, write_matrix_csv, write_meta, write_pgm
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +199,24 @@ def test_sweep_outputs_and_rerun_identity(capsys, tmp_path):
     assert len(matrix) == 6
 
 
+def test_sweep_files_are_the_writers_applied_to_the_grid(capsys, tmp_path):
+    outdir = tmp_path / "cli"
+    args = ["--scenario", "model2-plain", "--resolution", "6", "--plain-steps", "7"]
+    assert run_cli(capsys, "sweep", *args, "--pgm", "--outdir", str(outdir))[0] == 0
+    spec = SweepSpec(scenario="model2-plain", resolution=6, plain_steps=7)
+    grid = run_sweep(spec)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for name in spec.field_names:
+        write_matrix_csv(ref / f"{name}.csv", grid.fields[name], spec.grid)
+        write_pgm(ref / f"{name}.pgm", grid.fields[name])
+    write_long_csv(ref / "combined.csv", grid.fields, spec.grid)
+    names = sorted(path.name for path in ref.iterdir())
+    assert sorted(path.name for path in outdir.iterdir()) == sorted([*names, "meta.txt"])
+    for name in names:
+        assert (outdir / name).read_bytes() == (ref / name).read_bytes(), name
+
+
 def test_sweep_rejects_bad_scenario(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--scenario", "bogus")
     assert code == 2
@@ -332,13 +351,19 @@ OUT_RUNS = [("trajectory", "sample_trajectory"), ("evolve", "evolve_trace"),
 
 
 # "" and "." name no file (exit 2); "blocker/x" needs a directory where a file
-# is (exit 3). audit-kernel writes to stdout for "", so only the last applies.
+# is (exit 3). audit-kernel writes to stdout for "", so "" does not apply to
+# it; its --out is a file name, not a prefix, so an existing directory
+# ("subdir") and a name ending in "/" name no file either (exit 2).
+OUT_PREFIXES = (("", "empty"), (".", "dot"), ("blocker/x", "blocked"))
+AUDIT_OUT_PATHS = (("subdir", "directory"), ("newdir/", "slash"))
+
+
 @pytest.mark.parametrize(
     "command,run,prefix",
     [pytest.param(command, run, prefix, id=f"{command}-{run}-{name}")
      for command, run in OUT_RUNS
-     for prefix, name in (("", "empty"), (".", "dot"), ("blocker/x", "blocked"))
-     if command != "audit-kernel" or name == "blocked"],
+     for prefix, name in OUT_PREFIXES + (AUDIT_OUT_PATHS if command == "audit-kernel" else ())
+     if command != "audit-kernel" or name != "empty"],
 )
 def test_out_prefix_without_a_file_name_fails_before_computing(
     capsys, tmp_path, monkeypatch, command, run, prefix
@@ -349,10 +374,12 @@ def test_out_prefix_without_a_file_name_fails_before_computing(
     monkeypatch.setattr(cli, run, no_run)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "blocker").write_text("a file, not a directory")
+    (tmp_path / "subdir").mkdir()
     code, stdout, stderr = run_cli(capsys, command, "--out", prefix)
     assert code == (3 if prefix == "blocker/x" else 2)
     assert stdout == "" and "ran before" not in stderr
-    assert [path.name for path in tmp_path.iterdir()] == ["blocker"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker", "subdir"]
+    assert not any((tmp_path / "subdir").iterdir())
 
 
 @pytest.mark.parametrize(

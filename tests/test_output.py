@@ -1,6 +1,12 @@
 import numpy as np
 
-from couplesim.output import write_csv, write_long_csv, write_matrix_csv, write_pgm
+from couplesim.output import (
+    write_csv,
+    write_grid_csvs,
+    write_long_csv,
+    write_matrix_csv,
+    write_pgm,
+)
 
 # Floats whose shortest round-trip text is easy to get wrong: exponent
 # forms at both ends, the smallest subnormal, a signed zero, a long mantissa.
@@ -35,6 +41,27 @@ def test_grid_writers_match_per_value_formatting(tmp_path):
     assert lines[1] == "0.0,0.0,normal,1e-05"
     assert lines[7] == "1e-05,0.0,normal,-0.0"
     assert "5e-324" in (tmp_path / "matrix.csv").read_text()
+
+
+def test_one_pass_writer_matches_the_per_file_writers(tmp_path):
+    axis = np.array([0.0, 1e-05, 0.30000000000000004])
+    values = np.array(AWKWARD).reshape(3, 3)
+    fields = {"normal": values, "v1": -values[::-1], "v2": values.T}
+    one, each = tmp_path / "one", tmp_path / "each"
+    one.mkdir()
+    each.mkdir()
+
+    write_grid_csvs(fields, axis, {name: one / f"{name}.csv" for name in fields},
+                    one / "combined.csv")
+    for name, grid in fields.items():
+        write_matrix_csv(each / f"{name}.csv", grid, axis)
+    write_long_csv(each / "combined.csv", fields, axis)
+
+    names = sorted(path.name for path in each.iterdir())
+    assert names == ["combined.csv", "normal.csv", "v1.csv", "v2.csv"]
+    assert sorted(path.name for path in one.iterdir()) == names
+    for name in names:
+        assert (one / name).read_bytes() == (each / name).read_bytes(), name
 
 
 def test_pgm_orientation_clipping_and_rounding(tmp_path):
