@@ -3,17 +3,19 @@
 Commands: trajectory, evolve, selfconsistent, sweep, audit-kernel. Every
 option can also come from a flat `key = value` config file (--config) whose
 keys are the flag names, `-` and `_` alike; `#` starts a comment anywhere on
-a line (`out = run#2` means `run`), blank lines are skipped and quotes around
-a value are stripped. A flag and its key share one converter, so both reject
-the same values. Flags win over the file, the file wins over the defaults,
-and unknown keys are rejected. Exit codes: 0 on success, 2 for configuration
+a line (`out = run#2` means `run`), blank lines are skipped and one matching
+pair of quotes around a value is stripped (an unmatched quote is an error).
+A flag and its key share one converter, so both reject the same values.
+Flags win over the file, the file wins over the defaults, and unknown or
+repeated keys are rejected. Exit codes: 0 on success, 2 for configuration
 errors (a bad value, a malformed or unreadable config file, --threads below
-1), 3 for runtime failures.
+1, an --out that names no file), 3 for runtime failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from enum import Enum
@@ -30,10 +32,10 @@ from .output import (
     write_distribution_trace_csv,
     write_feedback_csv,
     write_grid_csvs,
+    write_lines,
     write_meta,
     write_pgm,
     write_trajectory_csv,
-    write_trajectory_text,
 )
 from .states import CANONICAL_START, Model, ModelParams, validate_param
 from .sweep import Scenario, SweepSpec, run_sweep
@@ -160,10 +162,15 @@ def _load_config(path: str, schema: dict[str, _Option]) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, text = line.partition("=")
-        key = key.strip().replace("-", "_")
-        text = text.strip().strip("\"'")
+        key, text = key.strip().replace("-", "_"), text.strip()
+        if text[:1] in ("'", '"') or text[-1:] in ("'", '"'):
+            if len(text) < 2 or text[0] != text[-1]:
+                raise ConfigError(f"{path}:{lineno}: unmatched quote in {text!r}")
+            text = text[1:-1]
         if key not in schema:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is given a second time")
         try:
             values[key] = schema[key].convert(text)
         except ValueError as exc:
@@ -188,38 +195,43 @@ def _by_name(cls, values: dict):
 def _out(cfg: dict, *suffixes: str) -> list[Path]:
     """--out plus each suffix (unlike with_suffix, keeps a dot), its directory made.
 
-    A prefix without a file name ("" or ".") or a file where the directory
-    should be fails here, before the run.
+    The only place an --out becomes paths, before the run. A prefix that names
+    no file ("", ".", ".." or one ending in "/") or a path that is an existing
+    directory raises ValueError; a file where the directory should be fails
+    as the directory is made.
     """
+    if os.path.basename(cfg["out"]) in ("", ".", ".."):
+        raise ValueError(f"--out {cfg['out']!r} names no file")
     out = Path(cfg["out"])
     paths = [out.with_name(out.name + suffix) for suffix in suffixes]
+    for path in paths:
+        if path.is_dir():
+            raise ValueError(f"--out {cfg['out']!r} names the directory {str(path)!r}, not a file")
     out.parent.mkdir(parents=True, exist_ok=True)
     return paths
 
 
-def _cmd_trajectory(cfg: dict) -> int:
+def _cmd_trajectory(cfg: dict) -> None:
     text, csv, meta = _out(cfg, ".txt", ".csv", "_meta.txt")
     params = _by_name(ModelParams, cfg)
     trajectory = sample_trajectory(cfg["start"], params, cfg["steps"], cfg["seed"])
-    for line in format_trajectory(trajectory):
-        print(line)
-    write_trajectory_text(text, trajectory)
+    lines = format_trajectory(trajectory)
+    print(*lines, sep="\n")
+    write_lines(text, lines)
     write_trajectory_csv(csv, trajectory)
     write_meta(meta, cfg)
-    return 0
 
 
-def _cmd_evolve(cfg: dict) -> int:
+def _cmd_evolve(cfg: dict) -> None:
     csv, meta = _out(cfg, ".csv", "_meta.txt")
     kernel = build_couple_kernel(_by_name(ModelParams, cfg))
     trace = evolve_trace(delta_distribution(cfg["start"]), kernel, cfg["steps"])
     write_distribution_trace_csv(csv, trace)
     write_meta(meta, cfg)
     print(f"wrote {csv}")
-    return 0
 
 
-def _cmd_selfconsistent(cfg: dict) -> int:
+def _cmd_selfconsistent(cfg: dict) -> None:
     csv, meta = _out(cfg, ".csv", "_meta.txt")
     params, config = _by_name(ModelParams, cfg), _by_name(FeedbackConfig, cfg)
     trace = self_consistent_run(params, config, start=cfg["start"], master_seed=cfg["seed"])
@@ -228,10 +240,9 @@ def _cmd_selfconsistent(cfg: dict) -> int:
     last = trace[-1]
     print(f"final p1={last.p1:.6f} p2={last.p2:.6f} v1={last.v1:.6f} v2={last.v2:.6f}")
     print(f"wrote {csv}")
-    return 0
 
 
-def _cmd_sweep(cfg: dict) -> int:
+def _cmd_sweep(cfg: dict) -> None:
     spec = _by_name(SweepSpec, {**cfg, "master_seed": cfg["seed"]})
     if cfg["threads"] < 1:  # as run_sweep would, but before the directory exists
         raise ValueError(f"workers must be at least 1, got {cfg['threads']}")
@@ -245,15 +256,11 @@ def _cmd_sweep(cfg: dict) -> int:
             write_pgm(outdir / f"{name}.pgm", grid.fields[name])
     write_meta(outdir / "meta.txt", cfg)
     print(f"wrote {len(spec.field_names)} field grids to {outdir}")
-    return 0
 
 
-def _cmd_audit_kernel(cfg: dict) -> int:
+def _cmd_audit_kernel(cfg: dict) -> None:
     model = Model(cfg["model"])
-    if cfg["out"]:  # a file name, and its directory made, before the table is built
-        if cfg["out"].endswith("/") or Path(cfg["out"]).is_dir():
-            raise ValueError(f"--out {cfg['out']!r} names a directory, not a file")
-        Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)
+    path = _out(cfg, "")[0] if cfg["out"] else None  # "" writes to stdout
     p2 = cfg["param"] if cfg["param2"] is None else validate_param(cfg["param2"], "param2")
     if cfg["couple"]:
         table = build_couple_kernel(ModelParams(model, cfg["param"], p2)).reshape(4, 4, 4, 4)
@@ -262,12 +269,11 @@ def _cmd_audit_kernel(cfg: dict) -> int:
         table = individual_kernel(model, cfg["param"])
         header = ["s_self", "s_partner", "s_next", "probability"]
     rows = kernel_entries(table)
-    if cfg["out"]:
-        write_csv(cfg["out"], header, rows)
+    if path:
+        write_csv(path, header, rows)
         print(f"wrote {cfg['out']}")
     else:
         print("\n".join(csv_lines(header, rows)))
-    return 0
 
 
 _COMMANDS = {
@@ -306,14 +312,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _resolve(args, args.command)
-        return _COMMANDS[args.command][0](cfg)
+        _COMMANDS[args.command][0](_resolve(args, args.command))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 3
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

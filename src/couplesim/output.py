@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .feedback import FeedbackTrace
-from .montecarlo import Trajectory, format_trajectory
+from .montecarlo import Trajectory
 from .states import COUPLE_STATES
 
 
@@ -34,7 +34,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_lines(path: Path | str, lines: Iterable[str]) -> None:
+def write_lines(path: Path | str, lines: Iterable[str]) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
@@ -44,7 +44,7 @@ def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
 
 
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    _write_lines(path, csv_lines(header, rows))
+    write_lines(path, csv_lines(header, rows))
 
 
 def _reprs(values) -> list[str]:
@@ -103,10 +103,6 @@ def write_pgm(path: Path | str, values: np.ndarray) -> None:
     Path(path).write_bytes(header + image.tobytes())
 
 
-def write_trajectory_text(path: Path | str, trajectory: Trajectory) -> None:
-    _write_lines(path, format_trajectory(trajectory))
-
-
 def write_trajectory_csv(path: Path | str, trajectory: Trajectory) -> None:
     rows = ([t, s1, s2] for t, (s1, s2) in enumerate(trajectory.states))
     write_csv(path, ["t", "s1", "s2"], rows)
@@ -134,5 +130,5 @@ def write_feedback_csv(path: Path | str, trace: FeedbackTrace) -> None:
 
 def write_meta(path: Path | str, config: Mapping[str, object]) -> None:
     """Echo a resolved configuration as flat `key = value` lines; None is left empty."""
-    _write_lines(path, (f"{key} = {'' if value is None else _fmt(value)}"
-                        for key, value in config.items()))
+    write_lines(path, (f"{key} = {'' if value is None else _fmt(value)}"
+                       for key, value in config.items()))

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 STATES = (-1, 0, 1, 2)
 STATE_NAMES = {-1: "passive", 0: "normal", 1: "upset", 2: "violent"}
 
@@ -36,14 +38,14 @@ def validate_state(value: int) -> int:
 
 
 def validate_param(value, name: str = "param"):
-    """Return value if it lies in [0, 1], else raise; arrays are checked elementwise."""
-    if getattr(value, "ndim", 0):
-        if not ((0.0 <= value) & (value <= 1.0)).all():
-            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        return value
-    if not 0.0 <= value <= 1.0:
+    """Return value if every entry lies in [0, 1] (NaN does not), else raise.
+
+    A scalar or 0-d array comes back as a float, any other array as given.
+    """
+    array = np.asarray(value)
+    if not ((0.0 <= array) & (array <= 1.0)).all():
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
+    return value if array.ndim else float(value)
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,39 @@ def test_config_file_rejects_unknown_key(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "value", ["\"model2-plain'", "'model2-plain", "model2-plain\"", "\"", "\"model2#-plain\""],
+    ids=["mixed", "open", "close", "lone", "comment-inside"],
+)
+def test_config_quote_without_its_pair_exits_2_with_its_place(capsys, tmp_path, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"resolution = 2\nscenario = {value}\n")
+    code, _, stderr = run_cli(capsys, "sweep", "--config", str(config),
+                              "--outdir", str(tmp_path / "out"))
+    assert code == 2
+    assert f"{config}:2: unmatched quote" in stderr
+    assert not (tmp_path / "out").exists()
+    config.write_text("out = '\"quoted\"'\n")  # one matching pair goes, the inner one stays
+    cfg = _resolve(build_parser().parse_args(["trajectory", "--config", str(config)]), "trajectory")
+    assert cfg["out"] == '"quoted"'
+
+
+@pytest.mark.parametrize(
+    "config_text,lineno",
+    [("resolution = 3\nresolution = 4\n", 2),
+     ("plain-steps = 3\n# the same key, spelled with _\nplain_steps = 4\n", 3)],
+    ids=["resolution", "plain-steps-then-plain_steps"],
+)
+def test_config_key_given_twice_exits_2_with_its_place(capsys, tmp_path, config_text, lineno):
+    config = tmp_path / "run.cfg"
+    config.write_text(config_text)
+    code, _, stderr = run_cli(capsys, "sweep", "--config", str(config),
+                              "--outdir", str(tmp_path / "out"))
+    assert code == 2
+    assert f"{config}:{lineno}: " in stderr and "second time" in stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "command,suffixes",
     [("trajectory", (".txt", ".csv")), ("evolve", (".csv",)), ("selfconsistent", (".csv",))],
 )
@@ -350,20 +383,21 @@ OUT_RUNS = [("trajectory", "sample_trajectory"), ("evolve", "evolve_trace"),
             ("selfconsistent", "self_consistent_run"), ("audit-kernel", "individual_kernel")]
 
 
-# "" and "." name no file (exit 2); "blocker/x" needs a directory where a file
-# is (exit 3). audit-kernel writes to stdout for "", so "" does not apply to
-# it; its --out is a file name, not a prefix, so an existing directory
-# ("subdir") and a name ending in "/" name no file either (exit 2).
-OUT_PREFIXES = (("", "empty"), (".", "dot"), ("blocker/x", "blocked"))
-AUDIT_OUT_PATHS = (("subdir", "directory"), ("newdir/", "slash"))
+# "" and "." name no file and "newdir/" names a directory (exit 2); "x" names
+# x.csv, an existing directory (exit 2); "blocker/x" needs a directory where a
+# file is (exit 3). audit-kernel's --out is a file name, not a prefix, so its
+# directory case is "x.csv" itself, and "" writes to stdout.
+OUT_PREFIXES = {"empty": "", "dot": ".", "slash": "newdir/", "directory": "x",
+                "blocked": "blocker/x"}
+AUDIT_OUT_PATHS = {name: prefix for name, prefix in {**OUT_PREFIXES, "directory": "x.csv"}.items()
+                   if name != "empty"}
 
 
 @pytest.mark.parametrize(
     "command,run,prefix",
     [pytest.param(command, run, prefix, id=f"{command}-{run}-{name}")
      for command, run in OUT_RUNS
-     for prefix, name in OUT_PREFIXES + (AUDIT_OUT_PATHS if command == "audit-kernel" else ())
-     if command != "audit-kernel" or name != "empty"],
+     for name, prefix in (AUDIT_OUT_PATHS if command == "audit-kernel" else OUT_PREFIXES).items()],
 )
 def test_out_prefix_without_a_file_name_fails_before_computing(
     capsys, tmp_path, monkeypatch, command, run, prefix
@@ -374,12 +408,13 @@ def test_out_prefix_without_a_file_name_fails_before_computing(
     monkeypatch.setattr(cli, run, no_run)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "blocker").write_text("a file, not a directory")
-    (tmp_path / "subdir").mkdir()
+    (tmp_path / "x.csv").mkdir()
     code, stdout, stderr = run_cli(capsys, command, "--out", prefix)
     assert code == (3 if prefix == "blocker/x" else 2)
     assert stdout == "" and "ran before" not in stderr
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker", "subdir"]
-    assert not any((tmp_path / "subdir").iterdir())
+    assert stderr.startswith(f"error: --out {prefix!r} " if code == 2 else "runtime error: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker", "x.csv"]
+    assert not any((tmp_path / "x.csv").iterdir())
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,13 @@
+import itertools
+import math
+
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from couplesim import COUPLE_STATES, Model, ModelParams, decode, encode
+from couplesim.states import validate_param
 
 
 def test_encode_examples():
@@ -49,3 +56,29 @@ def test_model_params_take_a_model_or_its_value():
     assert ModelParams(2, 0.3, 0.6).model is Model.SUPPORT
     with pytest.raises(ValueError):
         ModelParams(3, 0.5, 0.5)
+
+
+SHAPES = ("scalar", "0-d", "(N,)")
+
+
+def _edge_examples(test):
+    """NaN, +-inf, -0.0 and both bounds, each as a scalar, a 0-d array and an (N,) entry."""
+    for edge, shape in itertools.product((math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0), SHAPES):
+        test = example([0.5, edge], shape)(test)
+    return test
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=8), st.sampled_from(SHAPES))
+@_edge_examples
+def test_validate_param_accepts_exactly_the_unit_interval(values, shape):
+    # a scalar is the last value, an (N,) array all of them
+    checked = values if shape == "(N,)" else values[-1:]
+    value = {"scalar": values[-1], "0-d": np.array(values[-1]), "(N,)": np.array(values)}[shape]
+    if not all(0.0 <= v <= 1.0 for v in checked):
+        with pytest.raises(ValueError, match=r"^p2 must lie in \[0, 1\], got "):
+            validate_param(value, "p2")
+    elif shape == "(N,)":
+        assert validate_param(value, "p2") is value
+    else:
+        result = validate_param(value, "p2")
+        assert type(result) is float and repr(result) == repr(values[-1])
