@@ -7,9 +7,15 @@ a line (`out = run#2` means `run`), blank lines are skipped and one matching
 pair of quotes around a value is stripped (an unmatched quote is an error).
 A flag and its key share one converter, so both reject the same values.
 Flags win over the file, the file wins over the defaults, and unknown or
-repeated keys are rejected. Exit codes: 0 on success, 2 for configuration
-errors (a bad value, a malformed or unreadable config file, --threads below
-1, an --out that names no file), 3 for runtime failures.
+repeated keys are rejected; --start states are checked as the value is read.
+
+Each command checks every value, then names its files through `_out` (the
+--out prefix or sweep's --outdir files: none may be an existing directory,
+and their directory is made), then runs and writes. A rejected value
+therefore leaves no file or directory behind. Exit codes: 0 on success, 2
+for configuration errors (a bad value, a malformed or unreadable config
+file, --threads below 1, an --out that names no file, an output file that
+would be a directory), 3 for runtime failures.
 """
 
 from __future__ import annotations
@@ -37,7 +43,9 @@ from .output import (
     write_pgm,
     write_trajectory_csv,
 )
-from .states import CANONICAL_START, Model, ModelParams, validate_param
+from .states import (
+    CANONICAL_START, STATES, Model, ModelParams, encode, validate_count, validate_param,
+)
 from .sweep import Scenario, SweepSpec, run_sweep
 
 
@@ -55,10 +63,12 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_start(text: str) -> tuple[int, int]:
+    """Two comma-separated individual states, each checked by encode as it is read."""
     try:
         s1, s2 = (int(part) for part in text.split(","))
+        encode((s1, s2))
     except ValueError as exc:
-        raise ConfigError(f"start must look like '1,0', got {text!r}") from exc
+        raise ConfigError(f"start must look like '1,0', states in {STATES}, got {text!r}") from exc
     return (s1, s2)
 
 
@@ -192,28 +202,37 @@ def _by_name(cls, values: dict):
     return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
-def _out(cfg: dict, *suffixes: str) -> list[Path]:
-    """--out plus each suffix (unlike with_suffix, keeps a dot), its directory made.
+def _out(option: str, directory: str, *names: str) -> list[Path]:
+    """directory/name for each name, the directory made: the only place outputs are named.
 
-    The only place an --out becomes paths, before the run. A prefix that names
-    no file ("", ".", ".." or one ending in "/") or a path that is an existing
-    directory raises ValueError; a file where the directory should be fails
-    as the directory is made.
+    Called once every value is checked and before the run. A name that is an
+    existing directory raises ValueError, reported as `option` naming it; a
+    file where the directory should be fails as the directory is made.
     """
-    if os.path.basename(cfg["out"]) in ("", ".", ".."):
-        raise ValueError(f"--out {cfg['out']!r} names no file")
-    out = Path(cfg["out"])
-    paths = [out.with_name(out.name + suffix) for suffix in suffixes]
+    paths = [Path(directory, name) for name in names]
     for path in paths:
         if path.is_dir():
-            raise ValueError(f"--out {cfg['out']!r} names the directory {str(path)!r}, not a file")
-    out.parent.mkdir(parents=True, exist_ok=True)
+            raise ValueError(f"{option} names the directory {str(path)!r}, not a file")
+    Path(directory).mkdir(parents=True, exist_ok=True)
     return paths
 
 
+def _prefixed(cfg: dict, *suffixes: str) -> list[Path]:
+    """--out plus each suffix (unlike with_suffix, keeps a dot) through _out.
+
+    A prefix that names no file ("", ".", ".." or one ending in "/") raises
+    ValueError.
+    """
+    directory, name = os.path.split(cfg["out"])
+    if name in ("", ".", ".."):
+        raise ValueError(f"--out {cfg['out']!r} names no file")
+    return _out(f"--out {cfg['out']!r}", directory, *(name + suffix for suffix in suffixes))
+
+
 def _cmd_trajectory(cfg: dict) -> None:
-    text, csv, meta = _out(cfg, ".txt", ".csv", "_meta.txt")
     params = _by_name(ModelParams, cfg)
+    validate_count(cfg["steps"], "steps", 0)
+    text, csv, meta = _prefixed(cfg, ".txt", ".csv", "_meta.txt")
     trajectory = sample_trajectory(cfg["start"], params, cfg["steps"], cfg["seed"])
     lines = format_trajectory(trajectory)
     print(*lines, sep="\n")
@@ -223,8 +242,10 @@ def _cmd_trajectory(cfg: dict) -> None:
 
 
 def _cmd_evolve(cfg: dict) -> None:
-    csv, meta = _out(cfg, ".csv", "_meta.txt")
-    kernel = build_couple_kernel(_by_name(ModelParams, cfg))
+    params = _by_name(ModelParams, cfg)
+    validate_count(cfg["steps"], "steps", 0)
+    csv, meta = _prefixed(cfg, ".csv", "_meta.txt")
+    kernel = build_couple_kernel(params)
     trace = evolve_trace(delta_distribution(cfg["start"]), kernel, cfg["steps"])
     write_distribution_trace_csv(csv, trace)
     write_meta(meta, cfg)
@@ -232,8 +253,8 @@ def _cmd_evolve(cfg: dict) -> None:
 
 
 def _cmd_selfconsistent(cfg: dict) -> None:
-    csv, meta = _out(cfg, ".csv", "_meta.txt")
     params, config = _by_name(ModelParams, cfg), _by_name(FeedbackConfig, cfg)
+    csv, meta = _prefixed(cfg, ".csv", "_meta.txt")
     trace = self_consistent_run(params, config, start=cfg["start"], master_seed=cfg["seed"])
     write_feedback_csv(csv, trace)
     write_meta(meta, cfg)
@@ -244,29 +265,29 @@ def _cmd_selfconsistent(cfg: dict) -> None:
 
 def _cmd_sweep(cfg: dict) -> None:
     spec = _by_name(SweepSpec, {**cfg, "master_seed": cfg["seed"]})
-    if cfg["threads"] < 1:  # as run_sweep would, but before the directory exists
-        raise ValueError(f"workers must be at least 1, got {cfg['threads']}")
-    outdir = Path(cfg["outdir"] or f"sweep-{spec.scenario.value}")
-    outdir.mkdir(parents=True, exist_ok=True)  # a bad outdir fails before the computation
+    validate_count(cfg["threads"], "workers", 1)  # as run_sweep does, before any file is named
+    outdir, names = cfg["outdir"] or f"sweep-{spec.scenario.value}", spec.field_names
+    kinds = ("csv", "pgm") if cfg["pgm"] else ("csv",)
+    *paths, combined, meta = _out(f"--outdir {outdir!r}", outdir,
+                                  *(f"{name}.{kind}" for kind in kinds for name in names),
+                                  "combined.csv", "meta.txt")
     grid = run_sweep(spec, workers=cfg["threads"])
-    matrix_paths = {name: outdir / f"{name}.csv" for name in spec.field_names}
-    write_grid_csvs(grid.fields, spec.grid, matrix_paths, outdir / "combined.csv")
-    if cfg["pgm"]:
-        for name in spec.field_names:
-            write_pgm(outdir / f"{name}.pgm", grid.fields[name])
-    write_meta(outdir / "meta.txt", cfg)
-    print(f"wrote {len(spec.field_names)} field grids to {outdir}")
+    write_grid_csvs(grid.fields, spec.grid, dict(zip(names, paths)), combined)
+    for name, path in zip(names, paths[len(names):]):
+        write_pgm(path, grid.fields[name])
+    write_meta(meta, cfg)
+    print(f"wrote {len(names)} field grids to {meta.parent}")
 
 
 def _cmd_audit_kernel(cfg: dict) -> None:
-    model = Model(cfg["model"])
-    path = _out(cfg, "")[0] if cfg["out"] else None  # "" writes to stdout
-    p2 = cfg["param"] if cfg["param2"] is None else validate_param(cfg["param2"], "param2")
+    model, param = Model(cfg["model"]), validate_param(cfg["param"], "param")
+    p2 = param if cfg["param2"] is None else validate_param(cfg["param2"], "param2")
+    path = _prefixed(cfg, "")[0] if cfg["out"] else None  # "" writes to stdout
     if cfg["couple"]:
-        table = build_couple_kernel(ModelParams(model, cfg["param"], p2)).reshape(4, 4, 4, 4)
+        table = build_couple_kernel(ModelParams(model, param, p2)).reshape(4, 4, 4, 4)
         header = ["s1", "s2", "s1_next", "s2_next", "probability"]
     else:
-        table = individual_kernel(model, cfg["param"])
+        table = individual_kernel(model, param)
         header = ["s_self", "s_partner", "s_next", "probability"]
     rows = kernel_entries(table)
     if path:

@@ -38,7 +38,9 @@ from .markov import delta_distribution, evolve
 from .montecarlo import estimate_distributions
 from .observables import RECORDS, AbsorptionBasins, PathWeights, read_fields
 from .rng import derive_seed_array
-from .states import CANONICAL_START, CoupleState, Model, ModelParams, validate_param
+from .states import (
+    CANONICAL_START, CoupleState, Model, ModelParams, validate_count, validate_param,
+)
 
 
 class GenderMode(Enum):
@@ -66,12 +68,8 @@ class FeedbackConfig:
         object.__setattr__(self, "gender_mode", GenderMode(self.gender_mode))
         object.__setattr__(self, "engine", Engine(self.engine))
         validate_param(self.vc, "vc")
-        if self.inner_steps < 1:
-            raise ValueError(f"inner_steps must be >= 1, got {self.inner_steps}")
-        if self.turns < 1:
-            raise ValueError(f"turns must be >= 1, got {self.turns}")
-        if self.ensemble_size < 1:
-            raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
+        for name in ("inner_steps", "turns", "ensemble_size"):
+            validate_count(getattr(self, name), name, 1)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import CoupleState, encode
+from .states import CoupleState, encode, validate_count
 
 
 def delta_distribution(state: CoupleState) -> np.ndarray:
@@ -31,8 +31,7 @@ def step(dist: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 def _walk(dist: np.ndarray, kernel: np.ndarray, steps: int):
     """Yield the distribution (or stack) at t = 0..steps, holding only the current one."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    validate_count(steps, "steps", 0)
     current = np.array(dist, dtype=float)
     yield current
     for _ in range(steps):

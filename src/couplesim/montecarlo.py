@@ -19,7 +19,7 @@ import numpy as np
 
 from .kernels import partner_tables
 from .rng import counter_uniform, derive_seed_array
-from .states import CoupleState, Model, ModelParams, decode, encode
+from .states import CoupleState, Model, ModelParams, decode, encode, validate_count
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ def _walk(start: CoupleState, model: Model, p1, p2, steps: int, seeds, cells):
     p1[cells[k]], p2[cells[k]]); its draw counters do not depend on the
     other trajectories, so any stack reproduces the sequential path.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    validate_count(steps, "steps", 0)
     # bounds[k][16 n + 4 x1 + x2] is a partner's k-th cumulative threshold
     # in cell n at pair state (x1, x2), the flat index both partners share.
     cum1, cum2 = (table.cumsum(axis=3) for table in partner_tables(model, p1, p2))
@@ -79,8 +78,7 @@ def estimate_distributions(
     not depend on its stack. All N * ensemble_size trajectories advance
     together, one step at a time; only the last step is kept.
     """
-    if ensemble_size < 1:
-        raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
+    validate_count(ensemble_size, "ensemble_size", 1)
     cells = len(p1)
     seeds = derive_seed_array(master_seeds, np.arange(ensemble_size)[:, None])
     seeds = np.broadcast_to(seeds, (ensemble_size, cells)).T.ravel()

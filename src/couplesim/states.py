@@ -48,6 +48,17 @@ def validate_param(value, name: str = "param"):
     return value if array.ndim else float(value)
 
 
+def validate_count(value, name: str, low: int, high: int | None = None):
+    """Return value if it is an integer from low up to high (if given), else raise."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """A model choice (a Model or its value) plus two control parameters in [0, 1]."""

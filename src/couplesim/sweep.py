@@ -23,7 +23,7 @@ import numpy as np
 from .feedback import Engine, FeedbackConfig, GenderMode, feedback_turns, measure
 from .observables import FIELD_NAMES
 from .rng import derive_seed_array
-from .states import CANONICAL_START, CoupleState, Model, encode
+from .states import CANONICAL_START, CoupleState, Model, encode, validate_count
 
 # Cells per exact stack. Every turn holds an (N,16,16) kernel stack, 2 KB a
 # cell, so the bound keeps a full grid's memory near that of one stack.
@@ -78,14 +78,11 @@ class SweepSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenario", Scenario(self.scenario))
         object.__setattr__(self, "engine", Engine(self.engine))
-        if self.resolution < 2:
-            raise ValueError(f"resolution must be >= 2, got {self.resolution}")
-        if self.resolution > 201:
-            raise ValueError(f"resolution capped at 201, got {self.resolution}")
-        if self.runs_per_cell is not None and self.runs_per_cell < 1:
-            raise ValueError(f"runs_per_cell must be >= 1, got {self.runs_per_cell}")
-        if self.plain_steps is not None and self.plain_steps < 0:
-            raise ValueError(f"plain_steps must be >= 0, got {self.plain_steps}")
+        validate_count(self.resolution, "resolution", 2, 201)
+        if self.runs_per_cell is not None:
+            validate_count(self.runs_per_cell, "runs_per_cell", 1)
+        if self.plain_steps is not None:
+            validate_count(self.plain_steps, "plain_steps", 0)
         encode(self.start)
         self.feedback_config()  # validates vc / inner_steps / turns / ensemble_size
 
@@ -168,8 +165,7 @@ def _stack_fields(spec: SweepSpec, pairs: range) -> np.ndarray:
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
     """Scan the full grid; workers > 1 spreads Monte Carlo stacks, never changing the output."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    validate_count(workers, "workers", 1)
     runs, exact = spec.effective_runs, spec.engine is Engine.EXACT
     pairs = spec.resolution**2 * runs
     size = STACK_CELLS if exact else max(1, STACK_TRAJECTORIES // spec.ensemble_size)

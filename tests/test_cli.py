@@ -379,6 +379,24 @@ def test_unwritable_outdir_fails_before_computing(capsys, tmp_path, monkeypatch)
     assert "runtime error" in stderr and "sweep ran" not in stderr
 
 
+@pytest.mark.parametrize("name", ["meta.txt", "combined.csv", "normal.csv", "normal.pgm"])
+def test_sweep_file_that_is_a_directory_fails_before_computing(
+    capsys, tmp_path, monkeypatch, name
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before its files were named")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    outdir = tmp_path / "out"
+    (outdir / name).mkdir(parents=True)
+    pgm = ["--pgm"] if name.endswith(".pgm") else []
+    code, stdout, stderr = run_cli(capsys, "sweep", *pgm, "--outdir", str(outdir))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(f"error: --outdir {str(outdir)!r} names the directory ")
+    assert [path.name for path in outdir.iterdir()] == [name]
+    assert not any((outdir / name).iterdir())
+
+
 OUT_RUNS = [("trajectory", "sample_trajectory"), ("evolve", "evolve_trace"),
             ("selfconsistent", "self_consistent_run"), ("audit-kernel", "individual_kernel")]
 
@@ -477,7 +495,7 @@ def test_sweep_rejects_fewer_than_one_thread(capsys, tmp_path, threads):
         capsys, "sweep", "--resolution", "2", "--threads", threads, "--outdir", str(outdir)
     )
     assert code == 2
-    assert "workers must be at least 1" in stderr
+    assert "workers must be >= 1" in stderr
     assert not outdir.exists()
 
 
@@ -636,7 +654,7 @@ def _valid_base(command, directory):
     """The command with any output kept inside `directory` (--couple: the couple kernel too)."""
     couple = ["--couple"] if command == "audit-kernel" else []
     flag = "--outdir" if command == "sweep" else "--out"
-    return [command, *couple, f"{flag}={directory / command}"]
+    return [command, *couple, f"{flag}={directory / 'unmade' / command}"]
 
 
 @pytest.fixture(scope="module")
@@ -661,3 +679,4 @@ def test_rejected_values_exit_2_as_flag_and_config_line(fuzz_dir, case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(argv)
         assert code == 2, (argv, stderr.getvalue())
+        assert not (fuzz_dir / "unmade").exists(), (argv, "a rejected value left a directory")

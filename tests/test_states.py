@@ -1,12 +1,24 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from couplesim import COUPLE_STATES, Model, ModelParams, decode, encode
+from couplesim import (
+    COUPLE_STATES,
+    FeedbackConfig,
+    Model,
+    ModelParams,
+    SweepSpec,
+    decode,
+    encode,
+    evolve,
+    run_sweep,
+)
+from couplesim.montecarlo import estimate_distributions
 from couplesim.states import validate_param
 
 
@@ -82,3 +94,32 @@ def test_validate_param_accepts_exactly_the_unit_interval(values, shape):
     else:
         result = validate_param(value, "p2")
         assert type(result) is float and repr(result) == repr(values[-1])
+
+
+def _estimate(steps=1, ensemble_size=1):
+    return estimate_distributions((1, 0), Model.AGGRESSION, [0.5], [0.5], steps, ensemble_size, 0)
+
+
+# Every count a run description or engine takes, each set to `n`.
+COUNTS = {
+    "FeedbackConfig-inner_steps": ("inner_steps", lambda n: FeedbackConfig(inner_steps=n)),
+    "FeedbackConfig-turns": ("turns", lambda n: FeedbackConfig(turns=n)),
+    "FeedbackConfig-ensemble_size": ("ensemble_size", lambda n: FeedbackConfig(ensemble_size=n)),
+    "SweepSpec-resolution": ("resolution", lambda n: SweepSpec("model1-plain", resolution=n)),
+    "SweepSpec-runs_per_cell": ("runs_per_cell",
+                                lambda n: SweepSpec("model1-plain", runs_per_cell=n)),
+    "SweepSpec-plain_steps": ("plain_steps", lambda n: SweepSpec("model1-plain", plain_steps=n)),
+    "run_sweep-workers": ("workers", lambda n: run_sweep(SweepSpec("model1-plain", 2), workers=n)),
+    "evolve-steps": ("steps", lambda n: evolve(np.eye(16)[0], np.eye(16), n)),
+    "estimate_distributions-steps": ("steps", lambda n: _estimate(steps=n)),
+    "estimate_distributions-ensemble_size": ("ensemble_size",
+                                             lambda n: _estimate(ensemble_size=n)),
+}
+
+
+@pytest.mark.parametrize("value", [3.5, 2.0, "3"])
+@pytest.mark.parametrize("name,make", list(COUNTS.values()), ids=list(COUNTS))
+def test_counts_reject_non_integers_naming_the_field(name, make, value):
+    message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(value)
