@@ -7,7 +7,9 @@ a line (`out = run#2` means `run`), blank lines are skipped and one matching
 pair of quotes around a value is stripped (an unmatched quote is an error).
 A flag and its key share one converter, so both reject the same values.
 Flags win over the file, the file wins over the defaults, and unknown or
-repeated keys are rejected; --start states are checked as the value is read.
+repeated keys are rejected; --start states are checked as the value is read,
+and `--start -1,2` is read as `--start=-1,2` (argparse alone takes a token
+starting `-1,` for a flag).
 
 Each command checks every value, then names its files through `_out` (the
 --out prefix or sweep's --outdir files: none may be an existing directory,
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import fields
 from enum import Enum
@@ -325,6 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse reads `-1,2` as a flag: join it to --start
+        if argv[i] == "--start" and re.fullmatch(r"-?\d+,-?\d+", argv[i + 1]):
+            argv[i:i + 2] = [f"--start={argv[i + 1]}"]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

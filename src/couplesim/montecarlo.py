@@ -9,6 +9,14 @@ law of the chain, but fixing it makes trajectories byte-reproducible.
 One walk advances a flat stack of trajectories: estimate_distributions
 samples the ensembles of N cells with it, estimate_distribution is its
 N = 1 case and sample_trajectory its one-trajectory case.
+
+The walk compares integers, not doubles. The uniform draw is
+r = k * 2**-53 for the integer k = counter_bits(...) < 2**53, and that
+product is exact, as is b * 2**53 for a threshold b (a power-of-two scale).
+So r >= b holds exactly when k >= b * 2**53, that is when
+k >= ceil(max(b, 0) * 2**53) for integer k >= 0. The walk builds these
+uint64 thresholds once per stack and samples the very states the
+comparison of doubles would.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import partner_tables
-from .rng import counter_uniform, derive_seed_array
+from .rng import counter_bits, derive_seed_array
 from .states import CoupleState, Model, ModelParams, decode, encode, validate_count
 
 
@@ -31,27 +39,36 @@ class Trajectory:
     states: tuple[CoupleState, ...]
 
 
-def _walk(start: CoupleState, model: Model, p1, p2, steps: int, seeds, cells):
-    """Yield every trajectory's flat index 16 * cell + encode(state) at t = 0..steps.
+def _threshold(bound):
+    """Least k with k * 2**-53 >= bound, as uint64: a cumulative bound for counter_bits."""
+    return np.ceil(np.maximum(bound, 0.0) * 2.0**53).astype(np.uint64)
 
-    Trajectory k runs on stream seeds[k] in cell cells[k] (parameters
-    p1[cells[k]], p2[cells[k]]); its draw counters do not depend on the
-    other trajectories, so any stack reproduces the sequential path.
+
+def _reached(k, thresholds, flat):
+    """int8 count of the thresholds[.][flat] that each draw k reaches."""
+    return sum((k >= threshold.take(flat)).view(np.int8) for threshold in thresholds)
+
+
+def _walk(model: Model, p1, p2, steps: int, seeds, flat):
+    """Advance flat indices 16 * cell + encode(state) in place; yield them at t = 0..steps.
+
+    Trajectory k starts at flat[k] and runs on stream seeds[k] in cell
+    flat[k] // 16 (parameters p1[cell], p2[cell]); its draw counters do not
+    depend on the other trajectories, so any stack reproduces the
+    sequential path. Every yield is the one array flat: read it before the next.
     """
     validate_count(steps, "steps", 0)
-    # bounds[k][16 n + 4 x1 + x2] is a partner's k-th cumulative threshold
+    # thresholds[k][16 n + 4 x1 + x2] is a partner's k-th cumulative bound
     # in cell n at pair state (x1, x2), the flat index both partners share.
-    cum1, cum2 = (table.cumsum(axis=3) for table in partner_tables(model, p1, p2))
-    bounds1, bounds2 = ([cum[..., k].ravel() for k in range(3)] for cum in (cum1, cum2))
-    base = 16 * cells
-    flat = base + encode(start)
+    cums = (_threshold(table.cumsum(axis=3)) for table in partner_tables(model, p1, p2))
+    thresholds1, thresholds2 = ([cum[..., k].ravel() for k in range(3)] for cum in cums)
     yield flat
+    draws = np.empty((2, len(flat)), np.uint64)  # reused: a fresh one each step costs page faults
     for t in range(steps):
-        r1 = counter_uniform(seeds, 2 * t)
-        r2 = counter_uniform(seeds, 2 * t + 1)
-        n1 = sum(r1 >= bound.take(flat) for bound in bounds1)
-        n2 = sum(r2 >= bound.take(flat) for bound in bounds2)
-        flat = base + 4 * n1 + n2
+        k1, k2 = counter_bits(seeds, [[2 * t], [2 * t + 1]], out=draws)
+        states = 4 * _reached(k1, thresholds1, flat) + _reached(k2, thresholds2, flat)
+        flat &= -16
+        flat += states
         yield flat
 
 
@@ -63,7 +80,7 @@ def sample_trajectory(
     The stacked walk with one cell and one trajectory, every state recorded.
     """
     seeds = np.array([int(seed) % 2**64], dtype=np.uint64)
-    walk = _walk(start, params.model, [params.p1], [params.p2], steps, seeds, np.zeros(1, int))
+    walk = _walk(params.model, [params.p1], [params.p2], steps, seeds, np.array([encode(start)]))
     states = tuple(decode(int(flat[0])) for flat in walk)
     return Trajectory(seed=int(seed), params=params, states=states)
 
@@ -80,10 +97,11 @@ def estimate_distributions(
     """
     validate_count(ensemble_size, "ensemble_size", 1)
     cells = len(p1)
+    # trajectory i of cell n sits at i * cells + n
     seeds = derive_seed_array(master_seeds, np.arange(ensemble_size)[:, None])
-    seeds = np.broadcast_to(seeds, (ensemble_size, cells)).T.ravel()
-    trajectory_cells = np.repeat(np.arange(cells), ensemble_size)
-    for flat in _walk(start, model, p1, p2, steps, seeds, trajectory_cells):
+    seeds = np.broadcast_to(seeds, (ensemble_size, cells)).ravel()
+    flat = np.tile(16 * np.arange(cells) + encode(start), ensemble_size)
+    for flat in _walk(model, p1, p2, steps, seeds, flat):
         pass
     counts = np.bincount(flat, minlength=16 * cells).reshape(cells, 16)
     return counts / ensemble_size

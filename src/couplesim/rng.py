@@ -1,11 +1,13 @@
 """Counter-based random numbers for reproducible parallel sampling.
 
-Every uniform draw is a pure function of (stream seed, counter), with the
+Every draw is a pure function of (stream seed, counter), with the
 SplitMix64 finalizer as the mixing step, so ensembles and sweep cells can
 be computed in any order on any number of workers and still produce
-bit-identical output. Stream seeds are derived from a master seed and one
-or more integer indices (trajectory number, grid cell, run number) by the
-same hash.
+bit-identical output. counter_bits gives a draw as the integer k formed by
+the mix's top 53 bits, and counter_uniform as the double k * 2**-53 in
+[0, 1), which that product holds exactly. Stream seeds are derived from a
+master seed and one or more integer indices (trajectory number, grid cell,
+run number) by the same hash.
 """
 
 from __future__ import annotations
@@ -19,12 +21,16 @@ _M2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on uint64 values (arrays welcome)."""
-    z = np.asarray(z, dtype=np.uint64)
-    with np.errstate(over="ignore"):  # wraparound is the point
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer in place on a fresh uint64 array (or a scalar), wrapping silently.
+
+    Callers hold np.errstate(over="ignore"): scalars warn when they wrap.
+    """
+    z ^= z >> np.uint64(30)
+    z *= _M1
+    z ^= z >> np.uint64(27)
+    z *= _M2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _u64(x) -> np.ndarray:
@@ -48,15 +54,21 @@ def derive_seed(master: int, *indices: int) -> int:
     return int(derive_seed_array(master, *indices))
 
 
-def counter_uniform(seed, counter) -> np.ndarray:
-    """Uniform double in [0, 1) for draw number `counter` of stream `seed`.
+def counter_bits(seed, counter, out=None) -> np.ndarray:
+    """The integer k in [0, 2**53) behind draw number `counter` of stream `seed`.
 
     Both arguments broadcast, so one call can produce a whole ensemble's
-    draws for a given step.
+    draws for a given step (or for several steps). out, if given, is a
+    uint64 array of the broadcast shape that receives k.
     """
-    seed = np.asarray(seed, dtype=np.uint64)
-    counter = np.asarray(counter, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        bits = _mix(seed + _GAMMA * (counter + np.uint64(1)))
-    return (bits >> np.uint64(11)) * 2.0**-53
+    seed, counter = (np.asarray(x, dtype=np.uint64) for x in (seed, counter))
+    with np.errstate(over="ignore"):  # wraparound is the point
+        bits = _mix(np.add(seed, _GAMMA * (counter + np.uint64(1)), out=out))
+    bits >>= np.uint64(11)
+    return bits
+
+
+def counter_uniform(seed, counter) -> np.ndarray:
+    """Uniform double k * 2**-53 in [0, 1), k = counter_bits(seed, counter)."""
+    return counter_bits(seed, counter) * 2.0**-53
 

@@ -29,9 +29,10 @@ from .states import CANONICAL_START, CoupleState, Model, encode, validate_count
 # cell, so the bound keeps a full grid's memory near that of one stack.
 STACK_CELLS = 256
 # Trajectories per Monte Carlo stack: ensemble_size of them for each
-# (cell, run) pair, and at least one pair. Every step holds a few dozen
-# bytes a trajectory, so the bound keeps the stack's arrays near 1 MB.
-STACK_TRAJECTORIES = 8192
+# (cell, run) pair, and at least one pair. The walk's arrays peak at 50
+# bytes a trajectory (tracemalloc, 8000-64000 trajectories), so the bound
+# keeps a stack near 1.6 MB; larger stacks save per-stack calls, not memory.
+STACK_TRAJECTORIES = 32768
 
 
 class Scenario(Enum):

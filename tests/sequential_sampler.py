@@ -4,25 +4,28 @@ One trajectory advances one Python step at a time. Each partner reads its
 4x4x4 individual table, takes the cumulative sum of the first three
 entries of its row and picks the next state by counting the thresholds
 its draw reaches; the residual ("otherwise") branch selects state 2.
-Partner 1 uses draw 2t of the stream, partner 2 draw 2t+1. This file is
-test code: it shares only counter_uniform, individual_kernel and STATES
-with the package, so it does not test the stacked sampler against itself.
+Partner 1 uses draw 2t of the stream, partner 2 draw 2t+1, each drawn
+from the pure-Python SplitMix64 in splitmix64.py and compared as a double.
+This file is test code: it shares only individual_kernel and STATES with
+the package, so it tests neither the stacked sampler nor its integer draws
+against themselves.
 """
 
 import numpy as np
 
-from couplesim import STATES, counter_uniform, individual_kernel
+from couplesim import STATES, individual_kernel
+from splitmix64 import MASK, draw_uniform
 
 
 class DrawStream:
-    """Sequential view of a counter-based stream: draw n is counter n."""
+    """Sequential view of stream seed mod 2**64: draw n is the reference's counter n."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & ((1 << 64) - 1)
+        self.seed = int(seed) & MASK
         self.counter = 0
 
     def next(self) -> float:
-        u = float(counter_uniform(self.seed, self.counter))
+        u = draw_uniform(self.seed, self.counter)
         self.counter += 1
         return u
 

@@ -473,6 +473,41 @@ def test_malformed_start_exits_2(capsys, tmp_path, argv, config_text):
     assert "start must look like '1,0'" in stderr
 
 
+# One cheap run of each command that takes --start, and the file that echoes it.
+_START_RUNS = {
+    "trajectory": (["--steps", "2"], "--out", "run_meta.txt"),
+    "evolve": (["--steps", "2"], "--out", "run_meta.txt"),
+    "selfconsistent": (["--turns", "1", "--inner-steps", "2"], "--out", "run_meta.txt"),
+    "sweep": (["--resolution", "2", "--plain-steps", "2"], "--outdir", "run/meta.txt"),
+}
+
+
+@pytest.mark.parametrize("form", ["separate", "joined", "config"])
+@pytest.mark.parametrize("command", list(_START_RUNS))
+def test_negative_start_in_every_form(capsys, tmp_path, command, form):
+    # argparse alone reads the separate `-1,2` as an unknown flag and exits 2
+    extra, out_flag, meta = _START_RUNS[command]
+    start = {"separate": ["--start", "-1,2"], "joined": ["--start=-1,2"], "config": []}[form]
+    if form == "config":
+        (tmp_path / "run.cfg").write_text("start = -1,2\n")
+        start = ["--config", str(tmp_path / "run.cfg")]
+    code, stdout, stderr = run_cli(capsys, command, *start, *extra, out_flag, str(tmp_path / "run"))
+    assert code == 0, stderr
+    assert "start = (-1, 2)" in (tmp_path / meta).read_text().splitlines()
+    if command == "trajectory":
+        assert stdout.splitlines()[0] == "t=0, s1=-1 s2=2"
+
+
+@pytest.mark.parametrize("value", ["foo", "3,3", "-1,3"])
+@pytest.mark.parametrize("command", list(_START_RUNS))
+def test_rejected_separate_start_exits_2_with_the_start_message(capsys, tmp_path, command, value):
+    _, out_flag, _ = _START_RUNS[command]
+    code, _, stderr = run_cli(capsys, command, "--start", value, out_flag, str(tmp_path / "run"))
+    assert code == 2
+    assert f"argument --start: start must look like '1,0', states in {STATES}, got {value!r}" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("missing", ["no/such/file.cfg", "."])
 def test_unreadable_config_exits_2(capsys, tmp_path, missing):
     code, _, stderr = run_cli(capsys, "trajectory", "--config", str(tmp_path / missing))

@@ -17,8 +17,8 @@ from couplesim import (
     individual_kernel,
     sample_trajectory,
 )
-from couplesim.kernels import individual_kernels
-from couplesim.montecarlo import estimate_distributions
+from couplesim.kernels import individual_kernels, partner_tables
+from couplesim.montecarlo import _threshold, estimate_distributions
 from couplesim.rng import derive_seed_array
 
 from sequential_sampler import DrawStream, sample_individual, sample_step, sequential_path
@@ -226,3 +226,45 @@ def test_stacked_estimate_matches_sequential_sampling(model, start):
         assert np.array_equal(stacked[cell], counts / n), cell
         single = estimate_distribution(start, params, steps, n, master)
         assert np.array_equal(stacked[cell], single), cell
+
+
+@st.composite
+def _cumulative_bounds(draw):
+    """A cumulative threshold of either model's partner tables at any p1, p2 in [0, 1]."""
+    model = draw(st.sampled_from(list(Model)))
+    tables = partner_tables(model, [draw(unit)], [draw(unit)])
+    bounds = draw(st.sampled_from(tables)).cumsum(axis=3)[..., :3]
+    return draw(st.sampled_from(bounds.ravel().tolist()))
+
+
+_K = st.integers(0, 2**53 - 1)
+
+
+def _threshold_rule_holds(k, b):
+    return (k * 2.0**-53 >= b) == bool(np.uint64(k) >= _threshold(b))
+
+
+@given(k=_K, b=_cumulative_bounds())
+@example(k=0, b=0.0)
+@example(k=0, b=-0.0)
+@example(k=2**53 - 1, b=1.0)
+@example(k=2**53 - 1, b=1.0 + 2.0**-52)
+@example(k=2**52, b=0.5)
+@example(k=2**52, b=float(np.nextafter(0.5, 0.0)))
+@example(k=2**52, b=float(np.nextafter(0.5, 1.0)))
+@example(k=2**52 - 1, b=float(np.nextafter(0.5, 0.0)))
+@example(k=0, b=-1.0)
+def test_integer_threshold_rule_is_the_double_comparison(k, b):
+    # the walk compares k with its uint64 threshold; the sequential sampler
+    # compares the double k * 2**-53 with b: both must pick the same state
+    assert _threshold_rule_holds(k, b)
+
+
+@given(k=_K, offset=st.integers(-3, 3), ulps=st.integers(-2, 2))
+def test_integer_threshold_rule_at_and_next_to_a_draw(k, offset, ulps):
+    # b on the draw grid, or one or two ulps beside a point of it
+    at = min(max(k + offset, 0), 2**53 - 1) * 2.0**-53
+    b = at
+    for _ in range(abs(ulps)):
+        b = float(np.nextafter(b, np.inf if ulps > 0 else -np.inf))
+    assert _threshold_rule_holds(k, b)

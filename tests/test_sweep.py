@@ -30,6 +30,9 @@ from couplesim.rng import derive_seed_array
 from scalar_feedback import scalar_feedback_fields
 
 
+DEFAULT_STACK_TRAJECTORIES = sweep.STACK_TRAJECTORIES
+
+
 def small(scenario, **kw):
     defaults = dict(resolution=6, master_seed=3)
     defaults.update(kw)
@@ -215,9 +218,9 @@ def test_stack_split_does_not_change_results(scenario, monkeypatch):
 
 
 def _mc_spec(scenario, **kw):
-    # 3000 trajectories a pair: stacks of 2 (cell, run) pairs. With 3 runs a
-    # cell, stack boundaries split the runs of every cell and also fall
-    # between cells 1 and 2, 3 and 4, ...
+    # 3000 trajectories a pair: under a stack bound of 8192, stacks of 2 (cell,
+    # run) pairs. With 3 runs a cell, stack boundaries split the runs of every
+    # cell and also fall between cells 1 and 2, 3 and 4, ...
     defaults = dict(
         resolution=3, runs_per_cell=3, engine=Engine.MONTE_CARLO, ensemble_size=3000,
         master_seed=2**63 + 17, inner_steps=6, turns=3, plain_steps=7,
@@ -237,7 +240,8 @@ def _run_average(rows):
 @pytest.mark.parametrize(
     "scenario", [Scenario.MODEL1_SC_BLIND, Scenario.MODEL2_SC_GENDER, Scenario.MODEL2_SC_BLIND]
 )
-def test_monte_carlo_sc_cells_equal_single_runs(scenario):
+def test_monte_carlo_sc_cells_equal_single_runs(scenario, monkeypatch):
+    monkeypatch.setattr(sweep, "STACK_TRAJECTORIES", 8192)
     spec = _mc_spec(scenario)
     assert sweep.STACK_TRAJECTORIES // spec.ensemble_size == 2
     grid = run_sweep(spec)
@@ -255,7 +259,8 @@ def test_monte_carlo_sc_cells_equal_single_runs(scenario):
 
 
 @pytest.mark.parametrize("scenario", [Scenario.MODEL1_PLAIN, Scenario.MODEL2_PLAIN])
-def test_monte_carlo_plain_cells_equal_single_estimates(scenario):
+def test_monte_carlo_plain_cells_equal_single_estimates(scenario, monkeypatch):
+    monkeypatch.setattr(sweep, "STACK_TRAJECTORIES", 8192)
     spec = _mc_spec(scenario, runs_per_cell=3)
     assert sweep.STACK_TRAJECTORIES // spec.ensemble_size == 2
     grid = run_sweep(spec)
@@ -277,13 +282,15 @@ def test_monte_carlo_plain_cells_equal_single_estimates(scenario):
 
 @pytest.mark.parametrize("scenario", [Scenario.MODEL1_SC_GENDER, Scenario.MODEL2_PLAIN])
 def test_monte_carlo_stack_bound_does_not_change_results(scenario, monkeypatch):
-    spec = _mc_spec(scenario, resolution=4, runs_per_cell=2, ensemble_size=200, master_seed=-5)
-    grid = run_sweep(spec)  # 32 pairs, one stack
-    for pairs in (1, 3):
-        monkeypatch.setattr(sweep, "STACK_TRAJECTORIES", pairs * spec.ensemble_size)
+    spec = _mc_spec(scenario, resolution=4, runs_per_cell=2, ensemble_size=300, master_seed=-5)
+    monkeypatch.setattr(sweep, "STACK_TRAJECTORIES", spec.ensemble_size)
+    grid = run_sweep(spec)  # 32 pairs, 9600 trajectories: stacks of one pair
+    # stacks of 3 pairs; 27 pairs, then 5; one stack under the default bound
+    for bound in (3 * spec.ensemble_size, 8192, DEFAULT_STACK_TRAJECTORIES):
+        monkeypatch.setattr(sweep, "STACK_TRAJECTORIES", bound)
         resplit = run_sweep(spec)
         for name in spec.field_names:
-            assert np.array_equal(grid.fields[name], resplit.fields[name]), (pairs, name)
+            assert np.array_equal(grid.fields[name], resplit.fields[name]), (bound, name)
 
 
 def _record_measurements(monkeypatch, engine):
