@@ -4,10 +4,14 @@ A sweep is cut, row-major over (i, j, run), into stacks of (cell, run)
 pairs, and each stack runs every turn of the feedback loop (or the plain
 evolution or sampling) as whole arrays. The exact engine is deterministic,
 derives no seeds and runs one run per cell (repeats would reproduce it) in
-stacks of at most STACK_CELLS cells, in-process. Monte Carlo pair (i, j, r)
-samples on seed derive_seed(master_seed, i, j, r) in stacks of at most
-STACK_TRAJECTORIES trajectories; workers > 1 spreads whole stacks over
-processes, merged positionally. A cell's values, the run-ordered average of
+stacks of at most STACK_CELLS cells. Monte Carlo pair (i, j, r) samples on
+seed derive_seed(master_seed, i, j, r) in stacks of at most
+STACK_TRAJECTORIES trajectories. workers > 1 spreads whole stacks, exact
+ones over the calling thread and workers - 1 helper threads (numpy's
+stacked matmul runs them without the GIL), Monte Carlo ones over worker
+processes (the walk's many small numpy calls hold the GIL, so threads
+measured slower there); a sweep of one stack runs in the calling thread.
+Blocks are merged by position. A cell's values, the run-ordered average of
 its runs, depend neither on its stack nor on the worker count. A
 self-consistent stack measures a (cell, run) pair whose p1 and p2 both sit
 at 0 or 1, a fixed point of the feedback map, only at the final turn.
@@ -15,6 +19,7 @@ at 0 or 1, a fixed point of the feedback map, only at the final turn.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, fields as dataclass_fields
 from enum import Enum
 
@@ -25,9 +30,12 @@ from .observables import FIELD_NAMES
 from .rng import derive_seed_array
 from .states import CANONICAL_START, CoupleState, Model, encode, validate_count
 
-# Cells per exact stack. Every turn holds an (N,16,16) kernel stack, 2 KB a
-# cell, so the bound keeps a full grid's memory near that of one stack.
-STACK_CELLS = 256
+# Cells per exact stack. numpy's stacked matmul releases the GIL only on
+# stacks of more than 500 matrices, so a smaller bound would leave threads
+# (workers > 1) taking turns. A stack peaks at 3.5 KB a cell plain and 4.8
+# KB self-consistent (tracemalloc), 1.8-2.5 MB at 512, so the bound keeps a
+# grid's memory near that of one stack per worker.
+STACK_CELLS = 512
 # Trajectories per Monte Carlo stack: ensemble_size of them for each
 # (cell, run) pair, and at least one pair. The walk's arrays peak at 50
 # bytes a trajectory (tracemalloc, 8000-64000 trajectories), so the bound
@@ -164,19 +172,51 @@ def _stack_fields(spec: SweepSpec, pairs: range) -> np.ndarray:
     return measure(model, p1, p2, spec.start, steps, spec.ensemble_size, seeds)
 
 
+def _thread_stacks(spec: SweepSpec, stacks: list[range], workers: int) -> list[np.ndarray]:
+    """Blocks of `stacks`, by position, from the calling thread and workers - 1 helpers."""
+    from concurrent.futures import ThreadPoolExecutor  # only pools pay for the import
+
+    blocks: list = [None] * len(stacks)
+    todo, lock = iter(range(len(stacks))), threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                k = next(todo, None)
+            if k is None:
+                return
+            try:
+                blocks[k] = _stack_fields(spec, stacks[k])
+            except BaseException:
+                with lock:
+                    for _ in todo:  # the other threads take no further stack
+                        pass
+                raise
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work()
+        for helper in helpers:
+            helper.result()
+    return blocks
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
-    """Scan the full grid; workers > 1 spreads Monte Carlo stacks, never changing the output."""
+    """Scan the full grid; workers > 1 spreads its stacks, never changing the output."""
     validate_count(workers, "workers", 1)
     runs, exact = spec.effective_runs, spec.engine is Engine.EXACT
     pairs = spec.resolution**2 * runs
     size = STACK_CELLS if exact else max(1, STACK_TRAJECTORIES // spec.ensemble_size)
     stacks = [range(lo, min(lo + size, pairs)) for lo in range(0, pairs, size)]
-    if exact or workers <= 1:
+    workers = min(workers, len(stacks))
+    if workers == 1:
         blocks = [_stack_fields(spec, stack) for stack in stacks]
+    elif exact:
+        blocks = _thread_stacks(spec, stacks, workers)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only pools pay for the import
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(stacks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_stack_fields, [spec] * len(stacks), stacks))
     per_run = np.concatenate(blocks).reshape(spec.resolution, spec.resolution, runs, -1)
     # each cell's runs summed in run order from 0, the bits of a running total

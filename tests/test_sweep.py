@@ -1,3 +1,7 @@
+import concurrent.futures
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -112,12 +116,59 @@ def test_support_plain_sweep_fields():
     assert grid.fields["normal"][-1, -1] > 0.5
 
 
-def test_sweep_is_deterministic_across_worker_counts():
+def test_sweep_is_deterministic_across_worker_counts(monkeypatch):
+    monkeypatch.setattr(sweep, "STACK_CELLS", 5)  # 49 cells: 10 stacks, 9 of 5 and one of 4
     spec = small(Scenario.MODEL1_SC_GENDER, resolution=7)
     serial = run_sweep(spec, workers=1)
-    parallel = run_sweep(spec, workers=3)
+    for workers in (2, 3):  # 3 threads split 10 stacks unevenly
+        parallel = run_sweep(spec, workers=workers)
+        for name in spec.field_names:
+            assert np.array_equal(serial.fields[name], parallel.fields[name]), (workers, name)
+
+
+def test_thread_stacks_hold_with_more_threads_than_cores(monkeypatch):
+    monkeypatch.setattr(sweep, "STACK_CELLS", 1)  # 36 one-cell stacks, each holding the GIL
+    spec = small(Scenario.MODEL2_PLAIN, plain_steps=4)
+    serial = run_sweep(spec, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run_sweep(spec, workers=5)
+    finally:
+        sys.setswitchinterval(interval)
     for name in spec.field_names:
-        assert np.array_equal(serial.fields[name], parallel.fields[name])
+        assert np.array_equal(serial.fields[name], parallel.fields[name]), name
+
+
+@pytest.mark.parametrize("failing", [0, 4, 9])
+def test_thread_stack_error_propagates_and_leaves_no_thread(failing, monkeypatch):
+    monkeypatch.setattr(sweep, "STACK_CELLS", 5)
+    spec = small(Scenario.MODEL1_PLAIN, resolution=7, plain_steps=3)
+    original = sweep._stack_fields
+
+    def broken(spec, pairs):
+        if pairs.start == failing * sweep.STACK_CELLS:
+            raise RuntimeError(f"stack {failing}")
+        return original(spec, pairs)
+
+    monkeypatch.setattr(sweep, "_stack_fields", broken)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"stack {failing}"):
+        run_sweep(spec, workers=2)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("engine", list(Engine))
+def test_one_stack_sweep_runs_in_the_calling_thread(engine, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-stack sweep started a pool")
+
+    for executor in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
+        monkeypatch.setattr(concurrent.futures, executor, no_pool)
+    # 16 cells, or 16 pairs of 1000 trajectories: one stack under either bound
+    spec = small(Scenario.MODEL2_PLAIN, resolution=4, engine=engine)
+    grid = run_sweep(spec, workers=4)
+    assert grid.fields["normal"].shape == (4, 4)
 
 
 def test_monte_carlo_sweep_is_deterministic_across_worker_counts():
@@ -203,8 +254,8 @@ def _single_cell(spec, i, j):
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_stack_split_does_not_change_results(scenario, monkeypatch):
     # 17 x 17 = 289 cells: one full stack of 256 and one of 33
+    monkeypatch.setattr(sweep, "STACK_CELLS", 256)
     spec = SweepSpec(scenario=scenario, resolution=17)
-    assert spec.resolution**2 > sweep.STACK_CELLS == 256
     grid = run_sweep(spec)
     for cell in (1, 137, 254, 255, 256, 257, 271, 288):
         i, j = divmod(cell, spec.resolution)
