@@ -8,13 +8,14 @@ stacks of at most STACK_CELLS cells. Monte Carlo pair (i, j, r) samples on
 seed derive_seed(master_seed, i, j, r) in stacks of at most
 STACK_TRAJECTORIES trajectories. workers > 1 spreads whole stacks, exact
 ones over the calling thread and workers - 1 helper threads (numpy's
-stacked matmul runs them without the GIL), Monte Carlo ones over worker
-processes (the walk's many small numpy calls hold the GIL, so threads
-measured slower there); a sweep of one stack runs in the calling thread.
-Blocks are merged by position. A cell's values, the run-ordered average of
-its runs, depend neither on its stack nor on the worker count. A
-self-consistent stack measures a (cell, run) pair whose p1 and p2 both sit
-at 0 or 1, a fixed point of the feedback map, only at the final turn.
+stacked matmul runs them without the GIL; on worker processes they
+measured 10% slower and took 16% more CPU time), Monte Carlo ones over
+worker processes (the walk's many small numpy calls hold the GIL, so
+threads measured slower there); a sweep of one stack runs in the calling
+thread. Blocks are merged by position. A cell's values, the run-ordered
+average of its runs, depend neither on its stack nor on the worker count.
+A self-consistent stack measures a (cell, run) pair whose p1 and p2 both
+sit at 0 or 1, a fixed point of the feedback map, only at the final turn.
 """
 
 from __future__ import annotations

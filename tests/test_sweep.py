@@ -1,6 +1,7 @@
 import concurrent.futures
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -156,6 +157,25 @@ def test_thread_stack_error_propagates_and_leaves_no_thread(failing, monkeypatch
     with pytest.raises(RuntimeError, match=f"stack {failing}"):
         run_sweep(spec, workers=2)
     assert threading.active_count() == before
+
+
+def test_thread_stack_error_stops_the_other_threads_taking_stacks(monkeypatch):
+    monkeypatch.setattr(sweep, "STACK_CELLS", 5)
+    spec = small(Scenario.MODEL1_PLAIN, resolution=7, plain_steps=3)  # 10 stacks
+    original = sweep._stack_fields
+    started = []
+
+    def first_fails(spec, pairs):
+        started.append(pairs.start)
+        if pairs.start == 0:
+            raise RuntimeError("stack 0")
+        time.sleep(0.02)  # lets the failing thread run while another holds a stack
+        return original(spec, pairs)
+
+    monkeypatch.setattr(sweep, "_stack_fields", first_fails)
+    with pytest.raises(RuntimeError, match="stack 0"):
+        run_sweep(spec, workers=2)
+    assert len(started) <= 3, started  # each thread's stack at the error, and one more at most
 
 
 @pytest.mark.parametrize("engine", list(Engine))
