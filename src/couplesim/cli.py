@@ -147,10 +147,10 @@ _SCHEMAS: dict[str, dict[str, _Option]] = {
         "seed": _Option(int, 0),
         **_field_options(SweepSpec, vc=float, inner_steps=int, turns=int, plain_steps=int,
                          start=_parse_start),
-        "threads": _Option(int, 1, "workers sharing the sweep's stacks (default 1): exact "
-                           "stacks on threads, this one included, as numpy's stacked matmul "
-                           "runs without the GIL; Monte Carlo stacks on processes, as the "
-                           "walk's many small numpy calls hold it"),
+        "threads": _Option(int, 1, "workers sharing the sweep's stacks (default 1): a pool "
+                           "of that many threads for exact stacks, as numpy's stacked matmul "
+                           "runs without the GIL, or processes for Monte Carlo stacks, as the "
+                           "walk's many small numpy calls hold it; results kept by position"),
         "outdir": _Option(str),
         "pgm": _Option(_parse_bool, False, "also write PGM heatmaps"),
     },

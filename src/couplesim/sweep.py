@@ -6,21 +6,23 @@ evolution or sampling) as whole arrays. The exact engine is deterministic,
 derives no seeds and runs one run per cell (repeats would reproduce it) in
 stacks of at most STACK_CELLS cells. Monte Carlo pair (i, j, r) samples on
 seed derive_seed(master_seed, i, j, r) in stacks of at most
-STACK_TRAJECTORIES trajectories. workers > 1 spreads whole stacks, exact
-ones over the calling thread and workers - 1 helper threads (numpy's
-stacked matmul runs them without the GIL; on worker processes they
-measured 10% slower and took 16% more CPU time), Monte Carlo ones over
-worker processes (the walk's many small numpy calls hold the GIL, so
+STACK_TRAJECTORIES trajectories. workers > 1 maps whole stacks over a
+pool of that many workers while the calling thread waits: threads for
+exact stacks (numpy's stacked matmul runs them without the GIL; on worker
+processes they measured 10% slower and took 16% more CPU time), processes
+for Monte Carlo ones (the walk's many small numpy calls hold the GIL, so
 threads measured slower there); a sweep of one stack runs in the calling
-thread. Blocks are merged by position. A cell's values, the run-ordered
-average of its runs, depend neither on its stack nor on the worker count.
+thread. Blocks are merged by position. An error in stack k cancels the
+stacks not yet started once the caller reaches result k, Ctrl-C cancels
+them at once; stacks already running are left to end. A cell's values,
+the run-ordered average of its runs, depend neither on its stack nor on
+the worker count.
 A self-consistent stack measures a (cell, run) pair whose p1 and p2 both
 sit at 0 or 1, a fixed point of the feedback map, only at the final turn.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, fields as dataclass_fields
 from enum import Enum
 
@@ -173,35 +175,6 @@ def _stack_fields(spec: SweepSpec, pairs: range) -> np.ndarray:
     return measure(model, p1, p2, spec.start, steps, spec.ensemble_size, seeds)
 
 
-def _thread_stacks(spec: SweepSpec, stacks: list[range], workers: int) -> list[np.ndarray]:
-    """Blocks of `stacks`, by position, from the calling thread and workers - 1 helpers."""
-    from concurrent.futures import ThreadPoolExecutor  # only pools pay for the import
-
-    blocks: list = [None] * len(stacks)
-    todo, lock = iter(range(len(stacks))), threading.Lock()
-
-    def work() -> None:
-        while True:
-            with lock:
-                k = next(todo, None)
-            if k is None:
-                return
-            try:
-                blocks[k] = _stack_fields(spec, stacks[k])
-            except BaseException:
-                with lock:
-                    for _ in todo:  # the other threads take no further stack
-                        pass
-                raise
-
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        helpers = [pool.submit(work) for _ in range(workers - 1)]
-        work()
-        for helper in helpers:
-            helper.result()
-    return blocks
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
     """Scan the full grid; workers > 1 spreads its stacks, never changing the output."""
     validate_count(workers, "workers", 1)
@@ -212,12 +185,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
     workers = min(workers, len(stacks))
     if workers == 1:
         blocks = [_stack_fields(spec, stack) for stack in stacks]
-    elif exact:
-        blocks = _thread_stacks(spec, stacks, workers)
     else:
-        from concurrent.futures import ProcessPoolExecutor  # only pools pay for the import
+        from concurrent import futures  # only pools pay for the import
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        executor = futures.ThreadPoolExecutor if exact else futures.ProcessPoolExecutor
+        with executor(max_workers=workers) as pool:
             blocks = list(pool.map(_stack_fields, [spec] * len(stacks), stacks))
     per_run = np.concatenate(blocks).reshape(spec.resolution, spec.resolution, runs, -1)
     # each cell's runs summed in run order from 0, the bits of a running total

@@ -159,7 +159,8 @@ def test_thread_stack_error_propagates_and_leaves_no_thread(failing, monkeypatch
     assert threading.active_count() == before
 
 
-def test_thread_stack_error_stops_the_other_threads_taking_stacks(monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_thread_stack_error_stops_the_other_threads_taking_stacks(error, monkeypatch):
     monkeypatch.setattr(sweep, "STACK_CELLS", 5)
     spec = small(Scenario.MODEL1_PLAIN, resolution=7, plain_steps=3)  # 10 stacks
     original = sweep._stack_fields
@@ -168,12 +169,12 @@ def test_thread_stack_error_stops_the_other_threads_taking_stacks(monkeypatch):
     def first_fails(spec, pairs):
         started.append(pairs.start)
         if pairs.start == 0:
-            raise RuntimeError("stack 0")
+            raise error("stack 0")
         time.sleep(0.02)  # lets the failing thread run while another holds a stack
         return original(spec, pairs)
 
     monkeypatch.setattr(sweep, "_stack_fields", first_fails)
-    with pytest.raises(RuntimeError, match="stack 0"):
+    with pytest.raises(error, match="stack 0"):
         run_sweep(spec, workers=2)
     assert len(started) <= 3, started  # each thread's stack at the error, and one more at most
 
@@ -189,6 +190,28 @@ def test_one_stack_sweep_runs_in_the_calling_thread(engine, monkeypatch):
     spec = small(Scenario.MODEL2_PLAIN, resolution=4, engine=engine)
     grid = run_sweep(spec, workers=4)
     assert grid.fields["normal"].shape == (4, 4)
+
+
+@pytest.mark.parametrize("engine, used", [(Engine.EXACT, "ThreadPoolExecutor"),
+                                           (Engine.MONTE_CARLO, "ProcessPoolExecutor")])
+def test_engine_picks_the_executor(engine, used, monkeypatch):
+    made = []
+    for name in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
+        base = getattr(concurrent.futures, name)
+
+        class Recording(base):
+            def __init__(self, *args, _name=name, **kwargs):
+                made.append(_name)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, name, Recording)
+    monkeypatch.setattr(sweep, "STACK_CELLS", 5)  # 9 cells: 2 exact stacks
+    monkeypatch.setattr(sweep, "STACK_TRAJECTORIES", 100)  # 2 pairs a stack: 5 Monte Carlo stacks
+    spec = small(Scenario.MODEL2_PLAIN, resolution=3, engine=engine, ensemble_size=50)
+    run_sweep(spec, workers=1)
+    assert made == []
+    run_sweep(spec, workers=2)
+    assert made == [used]
 
 
 def test_monte_carlo_sweep_is_deterministic_across_worker_counts():
