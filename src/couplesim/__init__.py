@@ -26,7 +26,6 @@ from .kernels import (
 )
 from .markov import delta_distribution, evolve, evolve_trace, step
 from .montecarlo import (
-    Trajectory,
     estimate_distribution,
     format_trajectory,
     sample_trajectory,
@@ -52,11 +51,9 @@ from .states import (
     encode,
 )
 from .sweep import (
-    GridComparison,
     Scenario,
     SweepGrid,
     SweepSpec,
-    compare_grids,
     run_sweep,
 )
 
@@ -68,7 +65,6 @@ __all__ = [
     "FeedbackConfig",
     "GenderMode",
     "GenderViolence",
-    "GridComparison",
     "Model",
     "ModelParams",
     "PathWeights",
@@ -77,11 +73,9 @@ __all__ = [
     "Scenario",
     "SweepGrid",
     "SweepSpec",
-    "Trajectory",
     "TurnRecord",
     "absorbing_states",
     "build_couple_kernel",
-    "compare_grids",
     "counter_uniform",
     "decode",
     "delta_distribution",

@@ -239,11 +239,11 @@ def _cmd_trajectory(cfg: dict) -> None:
     params = _by_name(ModelParams, cfg)
     validate_count(cfg["steps"], "steps", 0)
     text, csv, meta = _prefixed(cfg, ".txt", ".csv", "_meta.txt")
-    trajectory = sample_trajectory(cfg["start"], params, cfg["steps"], cfg["seed"])
-    lines = format_trajectory(trajectory)
+    states = sample_trajectory(cfg["start"], params, cfg["steps"], cfg["seed"])
+    lines = format_trajectory(states)
     print(*lines, sep="\n")
     write_lines(text, lines)
-    write_trajectory_csv(csv, trajectory)
+    write_trajectory_csv(csv, states)
     write_meta(meta, cfg)
 
 

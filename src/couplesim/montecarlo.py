@@ -21,22 +21,11 @@ comparison of doubles would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernels import partner_tables
 from .rng import counter_bits, derive_seed_array
 from .states import CoupleState, Model, ModelParams, decode, encode, validate_count
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One sampled path; states has length steps + 1."""
-
-    seed: int
-    params: ModelParams
-    states: tuple[CoupleState, ...]
 
 
 def _threshold(bound):
@@ -74,15 +63,14 @@ def _walk(model: Model, p1, p2, steps: int, seeds, flat):
 
 def sample_trajectory(
     start: CoupleState, params: ModelParams, steps: int, seed: int
-) -> Trajectory:
-    """Reproducible path of `steps` transitions from `start` on stream seed mod 2**64.
+) -> tuple[CoupleState, ...]:
+    """The steps + 1 states of a reproducible path from `start` on stream seed mod 2**64.
 
     The stacked walk with one cell and one trajectory, every state recorded.
     """
     seeds = np.array([int(seed) % 2**64], dtype=np.uint64)
     walk = _walk(params.model, [params.p1], [params.p2], steps, seeds, np.array([encode(start)]))
-    states = tuple(decode(int(flat[0])) for flat in walk)
-    return Trajectory(seed=int(seed), params=params, states=states)
+    return tuple(decode(int(flat[0])) for flat in walk)
 
 
 def estimate_distributions(
@@ -115,8 +103,6 @@ def estimate_distribution(
     return estimate_distributions(start, model, p1, p2, steps, ensemble_size, master_seed)[0]
 
 
-def format_trajectory(trajectory: Trajectory) -> list[str]:
-    """Text lines `t=<k>, s1=<v> s2=<v>`, one per recorded state."""
-    return [
-        f"t={t}, s1={s1} s2={s2}" for t, (s1, s2) in enumerate(trajectory.states)
-    ]
+def format_trajectory(states: tuple[CoupleState, ...]) -> list[str]:
+    """Text lines `t=<k>, s1=<v> s2=<v>`, one per state of sample_trajectory."""
+    return [f"t={t}, s1={s1} s2={s2}" for t, (s1, s2) in enumerate(states)]

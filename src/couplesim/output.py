@@ -20,8 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .feedback import FeedbackTrace
-from .montecarlo import Trajectory
-from .states import COUPLE_STATES
+from .states import COUPLE_STATES, CoupleState
 
 
 def _fmt(value) -> str:
@@ -103,8 +102,8 @@ def write_pgm(path: Path | str, values: np.ndarray) -> None:
     Path(path).write_bytes(header + image.tobytes())
 
 
-def write_trajectory_csv(path: Path | str, trajectory: Trajectory) -> None:
-    rows = ([t, s1, s2] for t, (s1, s2) in enumerate(trajectory.states))
+def write_trajectory_csv(path: Path | str, states: Sequence[CoupleState]) -> None:
+    rows = ([t, s1, s2] for t, (s1, s2) in enumerate(states))
     write_csv(path, ["t", "s1", "s2"], rows)
 
 

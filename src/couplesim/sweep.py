@@ -152,13 +152,6 @@ class SweepGrid:
         }
 
 
-@dataclass(frozen=True)
-class GridComparison:
-    cells_dominant_in_1: int
-    cells_dominant_in_2: int
-    l1_difference: float
-
-
 def _stack_fields(spec: SweepSpec, pairs: range) -> np.ndarray:
     """(len(pairs), F) fields of (cell, run) pairs, numbered row-major over (i, j, run)."""
     model, exact = spec.scenario.model, spec.engine is Engine.EXACT
@@ -196,24 +189,3 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
     values = sum(per_run[:, :, run] for run in range(runs)) / runs
     fields = {name: values[:, :, k].copy() for k, name in enumerate(spec.field_names)}
     return SweepGrid(spec=spec, fields=fields)
-
-
-def compare_grids(grid1: SweepGrid, grid2: SweepGrid, field_name: str) -> GridComparison:
-    """Dominance counts for one field in each grid, plus their L1 distance."""
-    spec1, spec2 = grid1.spec, grid2.spec
-    if spec1.resolution != spec2.resolution:
-        raise ValueError(
-            f"grids have different resolutions: {spec1.resolution} vs {spec2.resolution}"
-        )
-    if spec1.field_names != spec2.field_names:
-        raise ValueError("grids carry different observable fields")
-    if field_name not in spec1.field_names:
-        raise ValueError(f"unknown field {field_name!r}; have {spec1.field_names}")
-    counts1 = grid1.dominance_counts()
-    counts2 = grid2.dominance_counts()
-    l1 = float(np.abs(grid1.fields[field_name] - grid2.fields[field_name]).sum())
-    return GridComparison(
-        cells_dominant_in_1=counts1.get(field_name, 0),
-        cells_dominant_in_2=counts2.get(field_name, 0),
-        l1_difference=l1,
-    )

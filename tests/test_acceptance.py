@@ -17,7 +17,6 @@ from couplesim import (
     SweepSpec,
     absorbing_states,
     build_couple_kernel,
-    compare_grids,
     delta_distribution,
     encode,
     estimate_distribution,
@@ -225,21 +224,20 @@ def test_criterion_7_self_consistent_polarization(default_sweeps):
 
 def test_criterion_8_gender_effect(default_sweeps):
     grids, _ = default_sweeps
-    gender1 = grids[Scenario.MODEL1_SC_GENDER]
-    blind1 = grids[Scenario.MODEL1_SC_BLIND]
-    mv = compare_grids(gender1, blind1, "male_violence")
-    fv = compare_grids(gender1, blind1, "female_violence")
-    gender_cells = mv.cells_dominant_in_1 + fv.cells_dominant_in_1
-    blind_cells = mv.cells_dominant_in_2 + fv.cells_dominant_in_2
+
+    def cells(scenario, *names):
+        counts = grids[scenario].dominance_counts()
+        return sum(counts[name] for name in names)
+
+    one_sided = ("male_violence", "female_violence")
+    gender_cells = cells(Scenario.MODEL1_SC_GENDER, *one_sided)
+    blind_cells = cells(Scenario.MODEL1_SC_BLIND, *one_sided)
     model1_ok = gender_cells > blind_cells
     rel1 = abs(gender_cells - blind_cells) / max(gender_cells, blind_cells, 1)
 
-    gender2 = grids[Scenario.MODEL2_SC_GENDER]
-    blind2 = grids[Scenario.MODEL2_SC_BLIND]
-    vc = compare_grids(gender2, blind2, "violence_cycle")
-    mvv = compare_grids(gender2, blind2, "mutual_violence")
-    gender2_cells = vc.cells_dominant_in_1 + mvv.cells_dominant_in_1
-    blind2_cells = vc.cells_dominant_in_2 + mvv.cells_dominant_in_2
+    violent = ("violence_cycle", "mutual_violence")
+    gender2_cells = cells(Scenario.MODEL2_SC_GENDER, *violent)
+    blind2_cells = cells(Scenario.MODEL2_SC_BLIND, *violent)
     rel2 = abs(gender2_cells - blind2_cells) / max(gender2_cells, blind2_cells, 1)
     model2_ok = rel2 < rel1
 

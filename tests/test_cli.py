@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 from dataclasses import MISSING, fields
 
 import pytest
@@ -40,12 +41,14 @@ def test_trajectory_stdout_format(capsys, tmp_path):
     lines = stdout.strip().splitlines()
     assert len(lines) == 6
     assert lines[0] == "t=0, s1=1 s2=0"
-    for t, line in enumerate(lines):
-        assert line.startswith(f"t={t}, s1=")
     assert out.with_suffix(".txt").read_text().strip().splitlines() == lines
     csv_lines = out.with_suffix(".csv").read_text().strip().splitlines()
     assert csv_lines[0] == "t,s1,s2"
     assert len(csv_lines) == 7
+    for t, (line, row) in enumerate(zip(lines, csv_lines[1:])):
+        match = re.fullmatch(rf"t={t}, s1=(-?\d) s2=(-?\d)", line)
+        assert match, line
+        assert row == "{},{},{}".format(t, *match.groups())
     meta = (tmp_path / "traj_meta.txt").read_text()
     assert "seed = 42" in meta
 

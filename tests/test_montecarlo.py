@@ -72,17 +72,18 @@ def test_updates_condition_on_previous_partner_state():
 def test_trajectory_is_reproducible():
     t1 = sample_trajectory((1, 0), AGG, 50, seed=42)
     t2 = sample_trajectory((1, 0), AGG, 50, seed=42)
-    assert t1.states == t2.states
+    assert t1 == t2
     t3 = sample_trajectory((1, 0), AGG, 50, seed=43)
-    assert t3.states != t1.states
+    assert t3 != t1
 
 
 def test_trajectory_basics():
-    assert sample_trajectory((1, 0), AGG, 0, seed=1).states == ((1, 0),)
-    trajectory = sample_trajectory((1, 0), AGG, 40, seed=5)
-    assert trajectory.states[0] == (1, 0)
+    assert sample_trajectory((1, 0), AGG, 0, seed=1) == ((1, 0),)
+    states = sample_trajectory((1, 0), AGG, 40, seed=5)
+    assert len(states) == 41
+    assert states[0] == (1, 0)
     kernel = build_couple_kernel(AGG)
-    for x, y in zip(trajectory.states, trajectory.states[1:]):
+    for x, y in zip(states, states[1:]):
         assert kernel[encode(x), encode(y)] > 0
 
 
@@ -116,7 +117,7 @@ def test_trajectory_is_the_sequential_path_through_positive_entries(
     model, p1, p2, start, steps, seed
 ):
     params = ModelParams(model, p1, p2)
-    states = sample_trajectory(start, params, steps, seed).states
+    states = sample_trajectory(start, params, steps, seed)
     assert states == sequential_path(start, params, steps, seed)
     kernel = build_couple_kernel(params)
     for x, y in zip(states, states[1:]):
@@ -126,7 +127,7 @@ def test_trajectory_is_the_sequential_path_through_positive_entries(
 def test_trajectory_stays_after_absorption():
     absorbing = {(0, 0), (2, 2), (2, -1), (-1, 2)}
     for seed in range(10):
-        states = sample_trajectory((1, 0), AGG, 60, seed=seed).states
+        states = sample_trajectory((1, 0), AGG, 60, seed=seed)
         hit = None
         for k, state in enumerate(states):
             if state in absorbing:
@@ -185,8 +186,8 @@ def test_estimate_agrees_with_exact_evolution():
 
 
 def test_format_trajectory_lines():
-    trajectory = sample_trajectory((1, 0), ModelParams(Model.AGGRESSION, 0.0, 0.0), 2, seed=0)
-    assert format_trajectory(trajectory) == [
+    states = sample_trajectory((1, 0), ModelParams(Model.AGGRESSION, 0.0, 0.0), 2, seed=0)
+    assert format_trajectory(states) == [
         "t=0, s1=1 s2=0",
         "t=1, s1=-1 s2=-1",
         "t=2, s1=0 s2=0",

@@ -15,7 +15,6 @@ from couplesim import (
     Scenario,
     SweepSpec,
     build_couple_kernel,
-    compare_grids,
     delta_distribution,
     derive_seed,
     encode,
@@ -253,23 +252,6 @@ def test_transpose_symmetry_with_swapped_start():
     }
     for name, mirror in pairs.items():
         assert np.abs(forward.fields[name] - swapped.fields[mirror].T).max() < 1e-12
-
-
-def test_compare_grids():
-    spec = small(Scenario.MODEL1_PLAIN)
-    grid = run_sweep(spec)
-    same = compare_grids(grid, grid, "normal")
-    assert same.l1_difference == 0.0
-    assert same.cells_dominant_in_1 == same.cells_dominant_in_2
-    other = run_sweep(small(Scenario.MODEL1_SC_BLIND))
-    diff = compare_grids(grid, other, "separation")
-    assert diff.l1_difference > 0
-    with pytest.raises(ValueError):
-        compare_grids(grid, run_sweep(small(Scenario.MODEL1_PLAIN, resolution=5)), "normal")
-    with pytest.raises(ValueError):
-        compare_grids(grid, run_sweep(small(Scenario.MODEL2_PLAIN)), "normal")
-    with pytest.raises(ValueError):
-        compare_grids(grid, grid, "no_such_field")
 
 
 def test_dominance_counts_cover_grid():
