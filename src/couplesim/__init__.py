@@ -42,7 +42,6 @@ from .observables import (
 from .rng import counter_uniform, derive_seed
 from .states import (
     COUPLE_STATES,
-    STATE_NAMES,
     STATES,
     CoupleState,
     Model,
@@ -69,7 +68,6 @@ __all__ = [
     "ModelParams",
     "PathWeights",
     "STATES",
-    "STATE_NAMES",
     "Scenario",
     "SweepGrid",
     "SweepSpec",

@@ -18,14 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .states import (
-    CoupleState,
-    Model,
-    ModelParams,
-    decode,
-    validate_param,
-    validate_state,
-)
+from .states import CoupleState, Model, ModelParams, decode, validate_count, validate_param
 
 # Entries as {(s_self, s_partner): {s_next: (const, slope)}}; rows listed in
 # self-state order -1, 0, 1, 2. Missing next-states have probability 0.
@@ -91,8 +84,8 @@ _AFFINE = {m: _affine_tensors(m) for m in Model}
 
 def tau(model: Model, s_next: int, s_self: int, s_partner: int, param: float) -> float:
     """Entry tau(s_next | s_self, s_partner; param) of `model`'s individual table."""
-    for state in (s_next, s_self, s_partner):  # a negative index would wrap silently
-        validate_state(state)
+    for name, state in (("s_next", s_next), ("s_self", s_self), ("s_partner", s_partner)):
+        validate_count(state, name, -1, 2)  # a negative index would wrap silently
     return float(individual_kernel(model, param)[s_self + 1, s_partner + 1, s_next + 1])
 
 
@@ -151,20 +144,13 @@ def absorbing_states(kernel: np.ndarray) -> set[CoupleState]:
     return {decode(i) for i in range(16) if kernel[i, i] >= 1.0 - 1e-12}
 
 
-def garden_of_eden_states(
-    kernel: np.ndarray, exclude_self_loops: bool = False
-) -> set[CoupleState]:
+def garden_of_eden_states(kernel: np.ndarray) -> set[CoupleState]:
     """States with no incoming transition from any other state.
 
     Such states can only ever appear as initial conditions. Self-loops do
-    not count as incoming transitions; with exclude_self_loops the states
-    that do hold a self-loop are additionally dropped from the report.
+    not count as incoming transitions.
     """
-    return {
-        decode(j) for j in range(16)
-        if not np.delete(kernel[:, j], j).any()
-        and not (exclude_self_loops and kernel[j, j] > 0.0)
-    }
+    return {decode(j) for j in range(16) if not np.delete(kernel[:, j], j).any()}
 
 
 def kernel_entries(table: np.ndarray) -> Iterator[tuple]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import partner_tables
-from .rng import counter_bits, derive_seed_array
+from .rng import _u64, counter_bits, derive_seed_array
 from .states import CoupleState, Model, ModelParams, decode, encode, validate_count
 
 
@@ -68,7 +68,7 @@ def sample_trajectory(
 
     The stacked walk with one cell and one trajectory, every state recorded.
     """
-    seeds = np.array([int(seed) % 2**64], dtype=np.uint64)
+    seeds = np.array([_u64(seed, "seed")])
     walk = _walk(params.model, [params.p1], [params.p2], steps, seeds, np.array([encode(start)]))
     return tuple(decode(int(flat[0])) for flat in walk)
 

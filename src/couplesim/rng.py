@@ -33,19 +33,27 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _u64(x) -> np.ndarray:
-    """Integers (any sign or size) and integer arrays as uint64, modulo 2**64."""
-    if isinstance(x, (int, np.integer)):
+def _u64(x, name: str) -> np.ndarray:
+    """Integers (any sign or size) and integer arrays as uint64, modulo 2**64.
+
+    The only conversion of a seed, index or draw counter; anything else (a
+    float, bool or string) raises ValueError naming it, as truncating it
+    would run another value's stream.
+    """
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return np.uint64(int(x) & _MASK)
-    return np.asarray(x).astype(np.uint64)
+    array = np.asarray(x)
+    if array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return array.astype(np.uint64, copy=False)
 
 
 def derive_seed_array(master, *indices) -> np.ndarray:
     """derive_seed over arrays: the master and every index broadcast together."""
     with np.errstate(over="ignore"):
-        h = _mix(_u64(master) + _GAMMA)
+        h = _mix(_u64(master, "seed") + _GAMMA)
         for x in indices:
-            h = _mix(h ^ _mix(_u64(x) + _GAMMA))
+            h = _mix(h ^ _mix(_u64(x, "index") + _GAMMA))
     return h
 
 
@@ -61,7 +69,7 @@ def counter_bits(seed, counter, out=None) -> np.ndarray:
     draws for a given step (or for several steps). out, if given, is a
     uint64 array of the broadcast shape that receives k.
     """
-    seed, counter = (np.asarray(x, dtype=np.uint64) for x in (seed, counter))
+    seed, counter = _u64(seed, "seed"), _u64(counter, "counter")
     with np.errstate(over="ignore"):  # wraparound is the point
         bits = _mix(np.add(seed, _GAMMA * (counter + np.uint64(1)), out=out))
     bits >>= np.uint64(11)

@@ -15,7 +15,6 @@ from enum import Enum
 import numpy as np
 
 STATES = (-1, 0, 1, 2)
-STATE_NAMES = {-1: "passive", 0: "normal", 1: "upset", 2: "violent"}
 
 CoupleState = tuple[int, int]
 
@@ -30,13 +29,6 @@ class Model(Enum):
     SUPPORT = 2     # parameter p is the perceived social support s
 
 
-def validate_state(value: int) -> int:
-    """Return value if it is one of the four individual states, else raise."""
-    if value not in STATES:
-        raise ValueError(f"individual state must be one of {STATES}, got {value!r}")
-    return value
-
-
 def validate_param(value, name: str = "param"):
     """Return value if every entry lies in [0, 1] (NaN does not), else raise.
 
@@ -49,8 +41,8 @@ def validate_param(value, name: str = "param"):
 
 
 def validate_count(value, name: str, low: int, high: int | None = None):
-    """Return value if it is an integer from low up to high (if given), else raise."""
-    if not isinstance(value, (int, np.integer)):
+    """Return value if it is an integer, not a bool, from low up to high (if given), else raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
@@ -76,15 +68,14 @@ class ModelParams:
 def encode(state: CoupleState) -> int:
     """Index of a couple state: 4*(s1+1) + (s2+1)."""
     s1, s2 = state
-    validate_state(s1)
-    validate_state(s2)
+    validate_count(s1, "s1", -1, 2)
+    validate_count(s2, "s2", -1, 2)
     return 4 * (s1 + 1) + (s2 + 1)
 
 
 def decode(index: int) -> CoupleState:
     """Inverse of encode; rejects indices outside 0..15."""
-    if not 0 <= index <= 15:
-        raise ValueError(f"couple state index must lie in 0..15, got {index!r}")
+    validate_count(index, "couple state index", 0, 15)
     return (index // 4 - 1, index % 4 - 1)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .feedback import Engine, FeedbackConfig, GenderMode, feedback_turns, measure
 from .observables import FIELD_NAMES
-from .rng import derive_seed_array
+from .rng import _u64, derive_seed_array
 from .states import CANONICAL_START, CoupleState, Model, encode, validate_count
 
 # Cells per exact stack. numpy's stacked matmul releases the GIL only on
@@ -95,6 +95,7 @@ class SweepSpec:
             validate_count(self.runs_per_cell, "runs_per_cell", 1)
         if self.plain_steps is not None:
             validate_count(self.plain_steps, "plain_steps", 0)
+        _u64(self.master_seed, "master_seed")
         encode(self.start)
         self.feedback_config()  # validates vc / inner_steps / turns / ensemble_size
 

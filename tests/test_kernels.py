@@ -168,18 +168,14 @@ def test_garden_of_eden_matches_oracle():
 
 def test_support_garden_of_eden_membership():
     kernel = build_couple_kernel(ModelParams(Model.SUPPORT, 0.5, 0.5))
-    goe = garden_of_eden_states(kernel, exclude_self_loops=False)
+    goe = garden_of_eden_states(kernel)
     assert {(2, 1), (1, 2)} <= goe
-    # both states are pure self-loops, so dropping self-loop states empties the set
-    assert garden_of_eden_states(kernel, exclude_self_loops=True) == set()
 
 
 def test_aggression_garden_of_eden_set():
     kernel = build_couple_kernel(ModelParams(Model.AGGRESSION, 0.5, 0.5))
     expected = {(1, 0), (0, 1), (-1, 0), (0, -1), (0, 2), (2, 0)}
     assert garden_of_eden_states(kernel) == expected
-    # none of them carries a self-loop, so the flag changes nothing here
-    assert garden_of_eden_states(kernel, exclude_self_loops=True) == expected
 
 
 def test_garden_of_eden_disjoint_from_reachable():

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from couplesim import Model, ModelParams, sample_trajectory
 from couplesim.rng import counter_bits, counter_uniform, derive_seed, derive_seed_array
 
 from splitmix64 import draw_bits, draw_uniform, stream_seed
@@ -74,3 +75,11 @@ def test_derive_seed_array_is_the_reference_hash(masters, indices, run):
     negative = derive_seed_array(-masters[0] - 1, index_array)
     assert negative.tolist() == [stream_seed(-masters[0] - 1, index) for index in indices]
     assert np.array_equal(master_array, kept[0]) and np.array_equal(index_array, kept[1])
+
+
+def test_integer_seeds_of_any_sign_wrap_modulo_two_to_the_64():
+    assert counter_uniform(-1, 0) == counter_uniform(2**64 - 1, 0)
+    assert counter_uniform(np.array([-1]), 0) == counter_uniform(2**64 - 1, 0)
+    params = ModelParams(Model.AGGRESSION, 0.3, 0.3)
+    assert sample_trajectory((1, 0), params, 40, -3) == sample_trajectory(
+        (1, 0), params, 40, 2**64 - 3)

@@ -13,10 +13,15 @@ from couplesim import (
     Model,
     ModelParams,
     SweepSpec,
+    counter_uniform,
     decode,
+    derive_seed,
     encode,
     evolve,
     run_sweep,
+    sample_trajectory,
+    self_consistent_run,
+    tau,
 )
 from couplesim.montecarlo import estimate_distributions
 from couplesim.states import validate_param
@@ -117,9 +122,44 @@ COUNTS = {
 }
 
 
-@pytest.mark.parametrize("value", [3.5, 2.0, "3"])
+@pytest.mark.parametrize("value", [3.5, 2.0, "3", True])
 @pytest.mark.parametrize("name,make", list(COUNTS.values()), ids=list(COUNTS))
 def test_counts_reject_non_integers_naming_the_field(name, make, value):
+    message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(value)
+
+
+AGG = ModelParams(Model.AGGRESSION, 0.5, 0.5)
+MONTE_CARLO = FeedbackConfig(inner_steps=1, turns=1, engine="monte-carlo", ensemble_size=2)
+
+# Every integer input that is no count, each set to `v`: individual states
+# and seeds (taken mod 2**64).
+STATE_INPUTS = {
+    "encode": ("s1", lambda v: encode((v, 0))),
+    "SweepSpec-start": ("s2", lambda v: SweepSpec("model1-plain", start=(0, v))),
+    "sample_trajectory-start": ("s1", lambda v: sample_trajectory((v, 0), AGG, 2, seed=0)),
+    "tau-s_next": ("s_next", lambda v: tau(Model.AGGRESSION, v, 0, 0, 0.5)),
+    "tau-s_partner": ("s_partner", lambda v: tau(Model.AGGRESSION, 0, 0, v, 0.5)),
+}
+SEED_INPUTS = {
+    "derive_seed": ("seed", lambda v: derive_seed(v)),
+    "SweepSpec-master_seed": ("master_seed", lambda v: SweepSpec("model1-plain", master_seed=v)),
+    "sample_trajectory-seed": ("seed", lambda v: sample_trajectory((1, 0), AGG, 2, seed=v)),
+    "self_consistent_run": ("seed", lambda v: self_consistent_run(AGG, MONTE_CARLO, master_seed=v)),
+    "counter_uniform": ("seed", lambda v: counter_uniform(v, 0)),
+}
+INTEGER_CASES = [
+    *(pytest.param(name, make, value, id=f"{key}-{value!r}")
+      for inputs, values in ((STATE_INPUTS, (1.0, True, "1")), (SEED_INPUTS, (1.7, True, "1")))
+      for key, (name, make) in inputs.items() for value in values),
+    pytest.param("couple state index", decode, 3.0, id="decode-3.0"),
+]
+
+
+@pytest.mark.parametrize("name,make,value", INTEGER_CASES)
+def test_integer_inputs_reject_floats_bools_and_strings_naming_the_value(name, make, value):
+    # run as its integer, each would name another value's state or stream
     message = f"{name} must be an integer, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make(value)
