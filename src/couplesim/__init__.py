@@ -31,9 +31,6 @@ from .montecarlo import (
     sample_trajectory,
 )
 from .observables import (
-    AbsorptionBasins,
-    GenderViolence,
-    PathWeights,
     gender_violence,
     model1_basins,
     model2_observables,
@@ -57,16 +54,13 @@ from .sweep import (
 )
 
 __all__ = [
-    "AbsorptionBasins",
     "COUPLE_STATES",
     "CoupleState",
     "Engine",
     "FeedbackConfig",
     "GenderMode",
-    "GenderViolence",
     "Model",
     "ModelParams",
-    "PathWeights",
     "STATES",
     "Scenario",
     "SweepGrid",

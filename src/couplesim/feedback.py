@@ -36,8 +36,8 @@ import numpy as np
 from .kernels import couple_kernels
 from .markov import delta_distribution, evolve
 from .montecarlo import estimate_distributions
-from .observables import RECORDS, AbsorptionBasins, PathWeights, read_fields
-from .rng import derive_seed_array
+from .observables import FIELD_NAMES, read_fields
+from .rng import _u64, derive_seed_array
 from .states import (
     CANONICAL_START, CoupleState, Model, ModelParams, validate_count, validate_param,
 )
@@ -74,14 +74,17 @@ class FeedbackConfig:
 
 @dataclass(frozen=True)
 class TurnRecord:
-    """Parameters in force during one turn and what they produced."""
+    """Parameters in force during one turn and what they produced.
+
+    observables maps the model's FIELD_NAMES but v1, v2 to their values.
+    """
 
     turn: int
     p1: float
     p2: float
     v1: float
     v2: float
-    observables: AbsorptionBasins | PathWeights
+    observables: dict[str, float]
 
 
 FeedbackTrace = list[TurnRecord]
@@ -181,12 +184,15 @@ def self_consistent_run(
     records and the last one is the settled measurement. The run is a
     stack of one cell; the exact engine is deterministic, and the Monte
     Carlo engine measures turn k on seed derive_seed(master_seed, k).
+    Both engines refuse a master_seed that is no integer.
     """
+    _u64(master_seed, "seed")
     model = init_params.model
+    names = FIELD_NAMES[model]
     p1, p2 = np.array([init_params.p1]), np.array([init_params.p2])
     trace: FeedbackTrace = []
     turns = feedback_turns(model, p1, p2, config, start, master_seed)
     for turn, (p1, p2, fields) in enumerate(turns):
         *obs, v1, v2 = fields[0].tolist()
-        trace.append(TurnRecord(turn, float(p1[0]), float(p2[0]), v1, v2, RECORDS[model](*obs)))
+        trace.append(TurnRecord(turn, float(p1[0]), float(p2[0]), v1, v2, dict(zip(names, obs))))
     return trace

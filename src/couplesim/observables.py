@@ -12,53 +12,17 @@ supports; both are reported as defined, without renormalization.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-
 import numpy as np
 
-from .states import Model, encode
+from .states import Model
 
-
-@dataclass(frozen=True)
-class AbsorptionBasins:
-    """Mass on the four absorbing states of the aggression model."""
-
-    normal: float
-    separation: float
-    male_violence: float
-    female_violence: float
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class GenderViolence:
-    """Per-partner violence exposure v1, v2."""
-
-    v1: float
-    v2: float
-
-
-@dataclass(frozen=True)
-class PathWeights:
-    """Support-model path weights; recovering may be negative by design."""
-
-    normal: float
-    threshold: float
-    recovering: float
-    violence_cycle: float
-    mutual_violence: float
-    separation: float
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
-
-
-# Each model's record of observables; the columns of read_fields are its
-# fields, then v1 and v2.
-RECORDS = {Model.AGGRESSION: AbsorptionBasins, Model.SUPPORT: PathWeights}
-FIELD_NAMES = {m: (*(f.name for f in fields(record)), "v1", "v2") for m, record in RECORDS.items()}
+# The only list of each model's field names, in the order of read_fields'
+# columns: the observables, then the violence v1, v2 each partner perceives.
+FIELD_NAMES = {
+    Model.AGGRESSION: ("normal", "separation", "male_violence", "female_violence", "v1", "v2"),
+    Model.SUPPORT: ("normal", "threshold", "recovering", "violence_cycle", "mutual_violence",
+                    "separation", "v1", "v2"),
+}
 
 
 def read_fields(model: Model, dist: np.ndarray, p1=0.0, p2=0.0) -> np.ndarray:
@@ -68,10 +32,10 @@ def read_fields(model: Model, dist: np.ndarray, p1=0.0, p2=0.0) -> np.ndarray:
     a (16,) dist) are the supports that split P(2,2) into M and S; the
     aggression model ignores them. Every sum runs left to right as written.
     """
-    by_state = np.reshape(dist, (-1, 16)).T
+    grid = np.reshape(dist, (-1, 4, 4))
 
     def p(s1: int, s2: int) -> np.ndarray:
-        return by_state[encode((s1, s2))]
+        return grid[:, s1 + 1, s2 + 1]
 
     if model is Model.AGGRESSION:
         columns = (p(0, 0), p(2, 2), p(2, -1), p(-1, 2), p(2, -1) + p(2, 2), p(-1, 2) + p(2, 2))
@@ -89,25 +53,27 @@ def read_fields(model: Model, dist: np.ndarray, p1=0.0, p2=0.0) -> np.ndarray:
     return np.array(columns).T
 
 
-def _row(model: Model, dist: np.ndarray, p1: float = 0.0, p2: float = 0.0) -> list[float]:
-    return [float(x) for x in read_fields(model, dist, p1, p2)[0]]
+def _named(model: Model, part: slice, dist: np.ndarray, p1=0.0, p2=0.0) -> dict[str, float]:
+    """The fields FIELD_NAMES[model][part] of one distribution, keyed by name."""
+    row = read_fields(model, dist, p1, p2)[0].tolist()
+    return dict(zip(FIELD_NAMES[model][part], row[part]))
 
 
-def model1_basins(dist: np.ndarray) -> AbsorptionBasins:
-    """Read the four absorbing-state components of a distribution."""
-    return AbsorptionBasins(*_row(Model.AGGRESSION, dist)[:4])
+def model1_basins(dist: np.ndarray) -> dict[str, float]:
+    """Mass on the four absorbing states: normal, separation, male_violence, female_violence."""
+    return _named(Model.AGGRESSION, slice(-2), dist)
 
 
-def gender_violence(dist: np.ndarray) -> GenderViolence:
+def gender_violence(dist: np.ndarray) -> dict[str, float]:
     """v1 = P(2,-1) + P(2,2) and v2 = P(-1,2) + P(2,2)."""
-    return GenderViolence(*_row(Model.AGGRESSION, dist)[4:])
+    return _named(Model.AGGRESSION, slice(-2, None), dist)
 
 
-def violent_marginals(dist: np.ndarray) -> GenderViolence:
-    """Probability that each partner is violent: the row/column-2 marginals."""
-    return GenderViolence(*_row(Model.SUPPORT, dist)[6:])
+def violent_marginals(dist: np.ndarray) -> dict[str, float]:
+    """v1, v2: the probability that each partner is violent, the row/column-2 marginals."""
+    return _named(Model.SUPPORT, slice(-2, None), dist)
 
 
-def model2_observables(dist: np.ndarray, supp1: float, supp2: float) -> PathWeights:
-    """Path weights of the support model at supports (supp1, supp2)."""
-    return PathWeights(*_row(Model.SUPPORT, dist, supp1, supp2)[:6])
+def model2_observables(dist: np.ndarray, supp1: float, supp2: float) -> dict[str, float]:
+    """Path weights of the support model at supports (supp1, supp2); recovering may be < 0."""
+    return _named(Model.SUPPORT, slice(-2), dist, supp1, supp2)

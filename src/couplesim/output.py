@@ -120,9 +120,8 @@ def write_distribution_trace_csv(path: Path | str, trace: np.ndarray) -> None:
 
 def write_feedback_csv(path: Path | str, trace: FeedbackTrace) -> None:
     """Rows (turn, p1, p2, v1, v2, observable columns)."""
-    obs_names = list(trace[0].observables.as_dict())
-    header = ["turn", "p1", "p2", "v1", "v2"] + obs_names
-    rows = ([rec.turn, rec.p1, rec.p2, rec.v1, rec.v2, *rec.observables.as_dict().values()]
+    header = ["turn", "p1", "p2", "v1", "v2", *trace[0].observables]
+    rows = ([rec.turn, rec.p1, rec.p2, rec.v1, rec.v2, *rec.observables.values()]
             for rec in trace)
     write_csv(path, header, rows)
 

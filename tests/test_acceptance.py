@@ -155,7 +155,7 @@ def test_criterion_5_support_model_structure():
             w = model2_observables(dist, float(s1), float(s2))
             pass_through = float(dist[pass_idx].sum())
             total = (
-                w.normal + w.threshold + w.recovering + w.violence_cycle
+                w["normal"] + w["threshold"] + w["recovering"] + w["violence_cycle"]
                 + float(dist[encode((2, 2))]) + pass_through
             )
             worst_residual = max(worst_residual, abs(1.0 - total))
@@ -194,7 +194,7 @@ def test_criterion_6_phase_diagram_corners():
     failures = []
     for (a1, a2), wanted in expected.items():
         kernel = build_couple_kernel(ModelParams(Model.AGGRESSION, a1, a2))
-        basins = model1_basins(evolve(delta_distribution((1, 0)), kernel, 500)).as_dict()
+        basins = model1_basins(evolve(delta_distribution((1, 0)), kernel, 500))
         dominant = max(basins, key=basins.get)
         if dominant != wanted:
             failures.append(((a1, a2), dominant, wanted))

@@ -134,7 +134,7 @@ def test_loop_fixed_point_at_zero():
         ModelParams(Model.AGGRESSION, 0.0, 0.0), FeedbackConfig()
     )
     assert all(rec.p1 == 0.0 and rec.p2 == 0.0 for rec in trace)
-    assert trace[-1].observables.normal == 1.0
+    assert trace[-1].observables["normal"] == 1.0
 
 
 def test_loop_fixed_point_at_one():
@@ -142,7 +142,7 @@ def test_loop_fixed_point_at_one():
         ModelParams(Model.AGGRESSION, 1.0, 1.0), FeedbackConfig()
     )
     assert all(rec.p1 == 1.0 and rec.p2 == 1.0 for rec in trace)
-    assert trace[-1].observables.separation == pytest.approx(1.0, abs=1e-6)
+    assert trace[-1].observables["separation"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_loop_polarizes_the_symmetric_cell():
@@ -150,8 +150,8 @@ def test_loop_polarizes_the_symmetric_cell():
         ModelParams(Model.AGGRESSION, 0.5, 0.5), FeedbackConfig()
     )
     assert len(trace) == 21
-    first = max(trace[0].observables.as_dict().values())
-    last = max(trace[-1].observables.as_dict().values())
+    first = max(trace[0].observables.values())
+    last = max(trace[-1].observables.values())
     assert last > first
 
 
@@ -169,8 +169,8 @@ def test_gender_and_blind_modes_can_settle_differently():
     params = ModelParams(Model.AGGRESSION, 0.05, 0.35)
     blind = self_consistent_run(params, FeedbackConfig(gender_mode=GenderMode.BLIND))
     gender = self_consistent_run(params, FeedbackConfig(gender_mode=GenderMode.SPECIFIC))
-    dominant_blind = max(blind[-1].observables.as_dict().items(), key=lambda kv: kv[1])[0]
-    dominant_gender = max(gender[-1].observables.as_dict().items(), key=lambda kv: kv[1])[0]
+    dominant_blind = max(blind[-1].observables.items(), key=lambda kv: kv[1])[0]
+    dominant_gender = max(gender[-1].observables.items(), key=lambda kv: kv[1])[0]
     assert dominant_blind == "separation"
     assert dominant_gender == "female_violence"
 

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from couplesim import Model, ModelParams, sample_trajectory
+from couplesim import FeedbackConfig, Model, ModelParams, sample_trajectory, self_consistent_run
 from couplesim.rng import counter_bits, counter_uniform, derive_seed, derive_seed_array
 
 from splitmix64 import draw_bits, draw_uniform, stream_seed
@@ -83,3 +83,7 @@ def test_integer_seeds_of_any_sign_wrap_modulo_two_to_the_64():
     params = ModelParams(Model.AGGRESSION, 0.3, 0.3)
     assert sample_trajectory((1, 0), params, 40, -3) == sample_trajectory(
         (1, 0), params, 40, 2**64 - 3)
+    for engine in ("exact", "monte-carlo"):
+        config = FeedbackConfig(inner_steps=5, turns=2, engine=engine, ensemble_size=50)
+        assert self_consistent_run(params, config, master_seed=-1) == self_consistent_run(
+            params, config, master_seed=2**64 - 1)

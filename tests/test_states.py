@@ -132,6 +132,7 @@ def test_counts_reject_non_integers_naming_the_field(name, make, value):
 
 AGG = ModelParams(Model.AGGRESSION, 0.5, 0.5)
 MONTE_CARLO = FeedbackConfig(inner_steps=1, turns=1, engine="monte-carlo", ensemble_size=2)
+EXACT = FeedbackConfig(inner_steps=1, turns=1)
 
 # Every integer input that is no count, each set to `v`: individual states
 # and seeds (taken mod 2**64).
@@ -147,6 +148,7 @@ SEED_INPUTS = {
     "SweepSpec-master_seed": ("master_seed", lambda v: SweepSpec("model1-plain", master_seed=v)),
     "sample_trajectory-seed": ("seed", lambda v: sample_trajectory((1, 0), AGG, 2, seed=v)),
     "self_consistent_run": ("seed", lambda v: self_consistent_run(AGG, MONTE_CARLO, master_seed=v)),
+    "self_consistent_run-exact": ("seed", lambda v: self_consistent_run(AGG, EXACT, master_seed=v)),
     "counter_uniform": ("seed", lambda v: counter_uniform(v, 0)),
 }
 INTEGER_CASES = [
