@@ -12,7 +12,6 @@ from .feedback import (
     Engine,
     FeedbackConfig,
     GenderMode,
-    TurnRecord,
     f_update,
     g_update,
     self_consistent_run,
@@ -65,7 +64,6 @@ __all__ = [
     "Scenario",
     "SweepGrid",
     "SweepSpec",
-    "TurnRecord",
     "absorbing_states",
     "build_couple_kernel",
     "counter_uniform",

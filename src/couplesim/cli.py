@@ -39,7 +39,6 @@ from .output import (
     csv_lines,
     write_csv,
     write_distribution_trace_csv,
-    write_feedback_csv,
     write_grid_csvs,
     write_lines,
     write_meta,
@@ -262,16 +261,15 @@ def _cmd_selfconsistent(cfg: dict) -> None:
     params, config = _by_name(ModelParams, cfg), _by_name(FeedbackConfig, cfg)
     csv, meta = _prefixed(cfg, ".csv", "_meta.txt")
     trace = self_consistent_run(params, config, start=cfg["start"], master_seed=cfg["seed"])
-    write_feedback_csv(csv, trace)
+    write_csv(csv, trace[0], (row.values() for row in trace))
     write_meta(meta, cfg)
-    last = trace[-1]
-    print(f"final p1={last.p1:.6f} p2={last.p2:.6f} v1={last.v1:.6f} v2={last.v2:.6f}")
+    print("final", *(f"{key}={trace[-1][key]:.6f}" for key in ("p1", "p2", "v1", "v2")))
     print(f"wrote {csv}")
 
 
 def _cmd_sweep(cfg: dict) -> None:
     spec = _by_name(SweepSpec, {**cfg, "master_seed": cfg["seed"]})
-    validate_count(cfg["threads"], "workers", 1)  # as run_sweep does, before any file is named
+    validate_count(cfg["threads"], "threads", 1)  # as run_sweep does, before any file is named
     outdir, names = cfg["outdir"] or f"sweep-{spec.scenario.value}", spec.field_names
     kinds = ("csv", "pgm") if cfg["pgm"] else ("csv",)
     *paths, combined, meta = _out(f"--outdir {outdir!r}", outdir,

@@ -69,25 +69,7 @@ class FeedbackConfig:
         object.__setattr__(self, "engine", Engine(self.engine))
         validate_param(self.vc, "vc")
         for name in ("inner_steps", "turns", "ensemble_size"):
-            validate_count(getattr(self, name), name, 1)
-
-
-@dataclass(frozen=True)
-class TurnRecord:
-    """Parameters in force during one turn and what they produced.
-
-    observables maps the model's FIELD_NAMES but v1, v2 to their values.
-    """
-
-    turn: int
-    p1: float
-    p2: float
-    v1: float
-    v2: float
-    observables: dict[str, float]
-
-
-FeedbackTrace = list[TurnRecord]
+            object.__setattr__(self, name, validate_count(getattr(self, name), name, 1))
 
 
 def _power_update(p, grows, up, down):
@@ -176,23 +158,26 @@ def self_consistent_run(
     config: FeedbackConfig,
     start: CoupleState = CANONICAL_START,
     master_seed: int = 0,
-) -> FeedbackTrace:
+) -> list[dict[str, float]]:
     """Iterate measure-then-update for config.turns turns.
 
-    Record k holds the parameters after k updates together with the
-    violence and observables they generate, so the trace has turns + 1
-    records and the last one is the settled measurement. The run is a
-    stack of one cell; the exact engine is deterministic, and the Monte
-    Carlo engine measures turn k on seed derive_seed(master_seed, k).
-    Both engines refuse a master_seed that is no integer.
+    Row k holds the parameters after k updates together with the violence
+    and observables they generate, keyed turn, p1, p2, v1, v2 and then the
+    observables of FIELD_NAMES[model][:-2]: the columns of the trace CSV.
+    The trace has turns + 1 rows and the last one is the settled
+    measurement. The run is a stack of one cell; the exact engine is
+    deterministic, and the Monte Carlo engine measures turn k on seed
+    derive_seed(master_seed, k). Both engines refuse a master_seed that is
+    no integer.
     """
     _u64(master_seed, "seed")
     model = init_params.model
     names = FIELD_NAMES[model]
     p1, p2 = np.array([init_params.p1]), np.array([init_params.p2])
-    trace: FeedbackTrace = []
+    trace = []
     turns = feedback_turns(model, p1, p2, config, start, master_seed)
     for turn, (p1, p2, fields) in enumerate(turns):
         *obs, v1, v2 = fields[0].tolist()
-        trace.append(TurnRecord(turn, float(p1[0]), float(p2[0]), v1, v2, dict(zip(names, obs))))
+        trace.append({"turn": turn, "p1": float(p1[0]), "p2": float(p2[0]), "v1": v1, "v2": v2,
+                      **dict(zip(names, obs))})
     return trace

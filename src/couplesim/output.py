@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .feedback import FeedbackTrace
 from .states import COUPLE_STATES, CoupleState
 
 
@@ -37,12 +36,12 @@ def write_lines(path: Path | str, lines: Iterable[str]) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
-def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
+def csv_lines(header: Iterable[str], rows: Iterable[Iterable]) -> list[str]:
     """The lines of a CSV file, without line endings."""
     return [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]
 
 
-def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path: Path | str, header: Iterable[str], rows: Iterable[Iterable]) -> None:
     write_lines(path, csv_lines(header, rows))
 
 
@@ -115,14 +114,6 @@ def write_distribution_trace_csv(path: Path | str, trace: np.ndarray) -> None:
     """Rows (t, 16 probabilities) for a distribution trace."""
     header = ["t"] + distribution_columns()
     rows = ([t] + [float(p) for p in trace[t]] for t in range(trace.shape[0]))
-    write_csv(path, header, rows)
-
-
-def write_feedback_csv(path: Path | str, trace: FeedbackTrace) -> None:
-    """Rows (turn, p1, p2, v1, v2, observable columns)."""
-    header = ["turn", "p1", "p2", "v1", "v2", *trace[0].observables]
-    rows = ([rec.turn, rec.p1, rec.p2, rec.v1, rec.v2, *rec.observables.values()]
-            for rec in trace)
     write_csv(path, header, rows)
 
 

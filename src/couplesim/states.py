@@ -41,14 +41,14 @@ def validate_param(value, name: str = "param"):
 
 
 def validate_count(value, name: str, low: int, high: int | None = None):
-    """Return value if it is an integer, not a bool, from low up to high (if given), else raise."""
+    """int(value) if value is an integer, not a bool, from low up to high (if given), else raise."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     if high is not None and value > high:
         raise ValueError(f"{name} must be <= {high}, got {value}")
-    return value
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def encode(state: CoupleState) -> int:
 
 def decode(index: int) -> CoupleState:
     """Inverse of encode; rejects indices outside 0..15."""
-    validate_count(index, "couple state index", 0, 15)
+    index = validate_count(index, "couple state index", 0, 15)
     return (index // 4 - 1, index % 4 - 1)
 
 

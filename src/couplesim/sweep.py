@@ -90,14 +90,15 @@ class SweepSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenario", Scenario(self.scenario))
         object.__setattr__(self, "engine", Engine(self.engine))
-        validate_count(self.resolution, "resolution", 2, 201)
-        if self.runs_per_cell is not None:
-            validate_count(self.runs_per_cell, "runs_per_cell", 1)
-        if self.plain_steps is not None:
-            validate_count(self.plain_steps, "plain_steps", 0)
+        for name, low, high in (("resolution", 2, 201), ("runs_per_cell", 1, None),
+                                ("plain_steps", 0, None)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, validate_count(getattr(self, name), name, low, high))
         _u64(self.master_seed, "master_seed")
         encode(self.start)
-        self.feedback_config()  # validates vc / inner_steps / turns / ensemble_size
+        config = self.feedback_config()  # validates vc / inner_steps / turns / ensemble_size
+        for name in ("inner_steps", "turns", "ensemble_size"):
+            object.__setattr__(self, name, getattr(config, name))
 
     @property
     def grid(self) -> np.ndarray:

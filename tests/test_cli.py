@@ -225,18 +225,26 @@ def test_sweep_rejects_bad_scenario(capsys):
     assert code == 2
 
 
-def test_selfconsistent_trace(capsys, tmp_path):
+TRACE_HEADERS = {
+    "1": "turn,p1,p2,v1,v2,normal,separation,male_violence,female_violence",
+    "2": "turn,p1,p2,v1,v2,normal,threshold,recovering,violence_cycle,mutual_violence,separation",
+}
+
+
+@pytest.mark.parametrize("model", list(TRACE_HEADERS))
+def test_selfconsistent_trace(capsys, tmp_path, model):
     out = tmp_path / "sc"
     code, stdout, _ = run_cli(
         capsys,
-        "selfconsistent", "--model", "1", "--p1", "0.5", "--p2", "0.5",
-        "--turns", "4", "--out", str(out),
+        "selfconsistent", "--model", model, "--p1", "0.3", "--p2", "0.6",
+        "--gender-mode", "specific", "--turns", "4", "--out", str(out),
     )
     assert code == 0
-    assert "final p1=" in stdout
     lines = out.with_suffix(".csv").read_text().strip().splitlines()
-    assert lines[0].startswith("turn,p1,p2,v1,v2,normal,")
+    assert lines[0] == TRACE_HEADERS[model]
     assert len(lines) == 6  # header + turns + 1
+    p1, p2, v1, v2 = (float(text) for text in lines[-1].split(",")[1:5])
+    assert stdout.splitlines()[0] == f"final p1={p1:.6f} p2={p2:.6f} v1={v1:.6f} v2={v2:.6f}"
 
 
 def test_config_file_roundtrip(capsys, tmp_path, monkeypatch):
@@ -533,7 +541,7 @@ def test_sweep_rejects_fewer_than_one_thread(capsys, tmp_path, threads):
         capsys, "sweep", "--resolution", "2", "--threads", threads, "--outdir", str(outdir)
     )
     assert code == 2
-    assert "workers must be >= 1" in stderr
+    assert "threads must be >= 1" in stderr
     assert not outdir.exists()
 
 

@@ -133,16 +133,16 @@ def test_loop_fixed_point_at_zero():
     trace = self_consistent_run(
         ModelParams(Model.AGGRESSION, 0.0, 0.0), FeedbackConfig()
     )
-    assert all(rec.p1 == 0.0 and rec.p2 == 0.0 for rec in trace)
-    assert trace[-1].observables["normal"] == 1.0
+    assert all(rec["p1"] == 0.0 and rec["p2"] == 0.0 for rec in trace)
+    assert trace[-1]["normal"] == 1.0
 
 
 def test_loop_fixed_point_at_one():
     trace = self_consistent_run(
         ModelParams(Model.AGGRESSION, 1.0, 1.0), FeedbackConfig()
     )
-    assert all(rec.p1 == 1.0 and rec.p2 == 1.0 for rec in trace)
-    assert trace[-1].observables["separation"] == pytest.approx(1.0, abs=1e-6)
+    assert all(rec["p1"] == 1.0 and rec["p2"] == 1.0 for rec in trace)
+    assert trace[-1]["separation"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_loop_polarizes_the_symmetric_cell():
@@ -150,9 +150,19 @@ def test_loop_polarizes_the_symmetric_cell():
         ModelParams(Model.AGGRESSION, 0.5, 0.5), FeedbackConfig()
     )
     assert len(trace) == 21
-    first = max(trace[0].observables.values())
-    last = max(trace[-1].observables.values())
+    observables = FIELD_NAMES[Model.AGGRESSION][:-2]
+    first = max(trace[0][name] for name in observables)
+    last = max(trace[-1][name] for name in observables)
     assert last > first
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_trace_rows_are_keyed_by_the_csv_columns(model):
+    trace = self_consistent_run(ModelParams(model, 0.3, 0.6), FeedbackConfig(turns=2))
+    for row in trace:
+        assert list(row) == ["turn", "p1", "p2", "v1", "v2", *FIELD_NAMES[model][:-2]]
+        assert type(row["turn"]) is int
+        assert all(type(row[name]) is float for name in list(row)[1:])
 
 
 def test_exact_loop_is_deterministic():
@@ -169,8 +179,9 @@ def test_gender_and_blind_modes_can_settle_differently():
     params = ModelParams(Model.AGGRESSION, 0.05, 0.35)
     blind = self_consistent_run(params, FeedbackConfig(gender_mode=GenderMode.BLIND))
     gender = self_consistent_run(params, FeedbackConfig(gender_mode=GenderMode.SPECIFIC))
-    dominant_blind = max(blind[-1].observables.items(), key=lambda kv: kv[1])[0]
-    dominant_gender = max(gender[-1].observables.items(), key=lambda kv: kv[1])[0]
+    observables = FIELD_NAMES[Model.AGGRESSION][:-2]
+    dominant_blind = max(observables, key=blind[-1].get)
+    dominant_gender = max(observables, key=gender[-1].get)
     assert dominant_blind == "separation"
     assert dominant_gender == "female_violence"
 
@@ -179,18 +190,18 @@ def test_support_loop_moves_parameters():
     params = ModelParams(Model.SUPPORT, 0.5, 0.5)
     trace = self_consistent_run(params, FeedbackConfig())
     assert len(trace) == 21
-    assert trace[-1].p1 != 0.5
+    assert trace[-1]["p1"] != 0.5
     for rec in trace:
-        assert 0.0 <= rec.p1 <= 1.0
-        assert 0.0 <= rec.v1 <= 1.0
+        assert 0.0 <= rec["p1"] <= 1.0
+        assert 0.0 <= rec["v1"] <= 1.0
 
 
 def test_turn_zero_reports_initial_parameters():
     params = ModelParams(Model.SUPPORT, 0.31, 0.74)
     trace = self_consistent_run(params, FeedbackConfig(turns=3))
-    assert trace[0].p1 == 0.31
-    assert trace[0].p2 == 0.74
-    assert [rec.turn for rec in trace] == [0, 1, 2, 3]
+    assert trace[0]["p1"] == 0.31
+    assert trace[0]["p2"] == 0.74
+    assert [rec["turn"] for rec in trace] == [0, 1, 2, 3]
 
 
 def test_monte_carlo_engine_is_seed_reproducible():
@@ -211,7 +222,7 @@ def test_monte_carlo_engine_tracks_exact_engine():
         FeedbackConfig(engine=Engine.MONTE_CARLO, ensemble_size=20_000, turns=5),
         master_seed=9,
     )
-    assert math.isclose(noisy[-1].p1, exact[-1].p1, abs_tol=0.1)
+    assert math.isclose(noisy[-1]["p1"], exact[-1]["p1"], abs_tol=0.1)
 
 
 def test_config_validation():

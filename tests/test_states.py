@@ -130,6 +130,47 @@ def test_counts_reject_non_integers_naming_the_field(name, make, value):
         make(value)
 
 
+NUMPY_INTEGERS = sorted({np.dtype(code).type for code in np.typecodes["AllInteger"]},
+                        key=lambda t: t.__name__)
+
+
+@pytest.mark.parametrize("dtype", NUMPY_INTEGERS, ids=lambda t: t.__name__)
+def test_decode_computes_on_python_ints(dtype):
+    for i in range(16):
+        state = decode(dtype(i))
+        assert state == decode(i)
+        assert all(type(s) is int for s in state)
+
+
+def test_run_descriptions_store_counts_as_python_ints():
+    config = FeedbackConfig(inner_steps=np.uint8(3), turns=np.int8(127), ensemble_size=np.int16(9))
+    assert config == FeedbackConfig(inner_steps=3, turns=127, ensemble_size=9)
+    spec = SweepSpec("model1-sc-blind", resolution=np.int8(20), runs_per_cell=np.uint8(2),
+                     ensemble_size=np.int16(200), inner_steps=np.uint8(3), turns=np.int8(2),
+                     plain_steps=np.uint16(7))
+    assert spec == SweepSpec("model1-sc-blind", resolution=20, runs_per_cell=2, ensemble_size=200,
+                             inner_steps=3, turns=2, plain_steps=7)
+    feedback_counts = ("inner_steps", "turns", "ensemble_size")
+    for obj, names in ((config, feedback_counts),
+                       (spec, ("resolution", "runs_per_cell", "plain_steps", *feedback_counts))):
+        for name in names:
+            assert type(getattr(obj, name)) is int, name
+
+
+def test_narrow_numpy_counts_do_not_overflow():
+    # in the count's own dtype, turns + 1 wraps to -128 and 32768 // ensemble_size overflows
+    trace = self_consistent_run(ModelParams(1, 0.3, 0.3), FeedbackConfig(turns=np.int8(127)))
+    assert len(trace) == 128
+    for dtype in (np.int8, np.uint8):
+        grid = run_sweep(SweepSpec("model1-plain", resolution=dtype(20)))
+        assert grid.fields["normal"].shape == (20, 20)
+    mc = dict(resolution=2, engine="monte-carlo", runs_per_cell=1, inner_steps=2, turns=1)
+    narrow = run_sweep(SweepSpec("model2-sc-gender", ensemble_size=np.int16(200), **mc))
+    wide = run_sweep(SweepSpec("model2-sc-gender", ensemble_size=200, **mc))
+    for name, values in wide.fields.items():
+        assert np.array_equal(narrow.fields[name], values), name
+
+
 AGG = ModelParams(Model.AGGRESSION, 0.5, 0.5)
 MONTE_CARLO = FeedbackConfig(inner_steps=1, turns=1, engine="monte-carlo", ensemble_size=2)
 EXACT = FeedbackConfig(inner_steps=1, turns=1)

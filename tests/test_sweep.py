@@ -266,7 +266,7 @@ def _single_cell(spec, i, j):
     params = ModelParams(spec.scenario.model, float(spec.grid[i]), float(spec.grid[j]))
     if spec.scenario.self_consistent:
         last = self_consistent_run(params, spec.feedback_config(), start=spec.start)[-1]
-        return {**last.observables, "v1": last.v1, "v2": last.v2}
+        return {name: last[name] for name in spec.field_names}
     kernel = build_couple_kernel(params)
     dist = evolve(delta_distribution(spec.start), kernel, spec.effective_plain_steps)
     if params.model is Model.AGGRESSION:
@@ -326,7 +326,7 @@ def test_monte_carlo_sc_cells_equal_single_runs(scenario, monkeypatch):
         for run in range(spec.effective_runs):
             seed = derive_seed(spec.master_seed, i, j, run)
             last = self_consistent_run(params, spec.feedback_config(), spec.start, seed)[-1]
-            rows.append([*last.observables.values(), last.v1, last.v2])
+            rows.append([last[name] for name in spec.field_names])
         expected = _run_average(rows)
         for k, name in enumerate(spec.field_names):
             assert grid.fields[name][i, j] == expected[k], (cell, name)
