@@ -67,7 +67,7 @@ class FeedbackConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gender_mode", GenderMode(self.gender_mode))
         object.__setattr__(self, "engine", Engine(self.engine))
-        validate_param(self.vc, "vc")
+        object.__setattr__(self, "vc", validate_param(self.vc, "vc"))
         for name in ("inner_steps", "turns", "ensemble_size"):
             object.__setattr__(self, name, validate_count(getattr(self, name), name, 1))
 

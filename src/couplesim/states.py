@@ -61,15 +61,14 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", Model(self.model))
-        validate_param(self.p1, "p1")
-        validate_param(self.p2, "p2")
+        for name in ("p1", "p2"):
+            object.__setattr__(self, name, validate_param(getattr(self, name), name))
 
 
 def encode(state: CoupleState) -> int:
-    """Index of a couple state: 4*(s1+1) + (s2+1)."""
+    """Index of a couple state, a Python int: 4*(s1+1) + (s2+1)."""
     s1, s2 = state
-    validate_count(s1, "s1", -1, 2)
-    validate_count(s2, "s2", -1, 2)
+    s1, s2 = validate_count(s1, "s1", -1, 2), validate_count(s2, "s2", -1, 2)
     return 4 * (s1 + 1) + (s2 + 1)
 
 

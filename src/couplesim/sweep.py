@@ -31,7 +31,7 @@ import numpy as np
 from .feedback import Engine, FeedbackConfig, GenderMode, feedback_turns, measure
 from .observables import FIELD_NAMES
 from .rng import _u64, derive_seed_array
-from .states import CANONICAL_START, CoupleState, Model, encode, validate_count
+from .states import CANONICAL_START, CoupleState, Model, decode, encode, validate_count
 
 # Cells per exact stack. numpy's stacked matmul releases the GIL only on
 # stacks of more than 500 matrices, so a smaller bound would leave threads
@@ -47,28 +47,23 @@ STACK_TRAJECTORIES = 32768
 
 
 class Scenario(Enum):
-    MODEL1_PLAIN = "model1-plain"
-    MODEL1_SC_BLIND = "model1-sc-blind"
-    MODEL1_SC_GENDER = "model1-sc-gender"
-    MODEL2_PLAIN = "model2-plain"
-    MODEL2_SC_BLIND = "model2-sc-blind"
-    MODEL2_SC_GENDER = "model2-sc-gender"
+    """The paper's six sweeps, one row each: value, model, self_consistent, gender_mode.
 
-    @property
-    def model(self) -> Model:
-        if self in (Scenario.MODEL1_PLAIN, Scenario.MODEL1_SC_BLIND, Scenario.MODEL1_SC_GENDER):
-            return Model.AGGRESSION
-        return Model.SUPPORT
+    A plain scenario keeps the blind mode, under which its loop fields are checked.
+    """
 
-    @property
-    def self_consistent(self) -> bool:
-        return self not in (Scenario.MODEL1_PLAIN, Scenario.MODEL2_PLAIN)
+    MODEL1_PLAIN = "model1-plain", Model.AGGRESSION, False, GenderMode.BLIND
+    MODEL1_SC_BLIND = "model1-sc-blind", Model.AGGRESSION, True, GenderMode.BLIND
+    MODEL1_SC_GENDER = "model1-sc-gender", Model.AGGRESSION, True, GenderMode.SPECIFIC
+    MODEL2_PLAIN = "model2-plain", Model.SUPPORT, False, GenderMode.BLIND
+    MODEL2_SC_BLIND = "model2-sc-blind", Model.SUPPORT, True, GenderMode.BLIND
+    MODEL2_SC_GENDER = "model2-sc-gender", Model.SUPPORT, True, GenderMode.SPECIFIC
 
-    @property
-    def gender_mode(self) -> GenderMode:
-        if self in (Scenario.MODEL1_SC_GENDER, Scenario.MODEL2_SC_GENDER):
-            return GenderMode.SPECIFIC
-        return GenderMode.BLIND
+    def __new__(cls, value: str, model: Model, self_consistent: bool, gender_mode: GenderMode):
+        member = object.__new__(cls)
+        member._value_ = value  # Scenario("model1-plain"), the CLI choices and pickling use it
+        member.model, member.self_consistent, member.gender_mode = model, self_consistent, gender_mode
+        return member
 
 
 @dataclass(frozen=True)
@@ -95,9 +90,9 @@ class SweepSpec:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, validate_count(getattr(self, name), name, low, high))
         _u64(self.master_seed, "master_seed")
-        encode(self.start)
+        object.__setattr__(self, "start", decode(encode(self.start)))
         config = self.feedback_config()  # validates vc / inner_steps / turns / ensemble_size
-        for name in ("inner_steps", "turns", "ensemble_size"):
+        for name in ("vc", "inner_steps", "turns", "ensemble_size"):
             object.__setattr__(self, name, getattr(config, name))
 
     @property

@@ -24,7 +24,7 @@ from couplesim import (
     tau,
 )
 from couplesim.montecarlo import estimate_distributions
-from couplesim.states import validate_param
+from couplesim.states import STATES, validate_param
 
 
 def test_encode_examples():
@@ -155,6 +155,40 @@ def test_run_descriptions_store_counts_as_python_ints():
                        (spec, ("resolution", "runs_per_cell", "plain_steps", *feedback_counts))):
         for name in names:
             assert type(getattr(obj, name)) is int, name
+
+
+@pytest.mark.parametrize("dtype", NUMPY_INTEGERS, ids=lambda t: t.__name__)
+def test_encode_computes_on_python_ints(dtype):
+    held = [s for s in STATES if s >= np.iinfo(dtype).min]
+    for s1, s2 in itertools.product(held, repeat=2):
+        index = encode((dtype(s1), dtype(s2)))
+        assert type(index) is int
+        assert index == encode((s1, s2))
+
+
+def test_numpy_starts_run_as_python_ints():
+    # in uint8, the walk's flat &= -16 overflows
+    params = ModelParams(1, 0.3, 0.3)
+    assert sample_trajectory((np.uint8(1), np.uint8(0)), params, 4, 7) == sample_trajectory(
+        (1, 0), params, 4, 7)
+    for start in ([1, 0], (np.uint8(1), np.int64(0))):
+        spec = SweepSpec("model1-plain", start=start)
+        assert spec == SweepSpec("model1-plain")
+        assert hash(spec) == hash(SweepSpec("model1-plain"))
+        assert type(spec.start) is tuple and all(type(s) is int for s in spec.start)
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: str(m.value))
+def test_run_descriptions_store_params_as_python_floats(model):
+    # a float32 p1 kept as given rounds every turn's p1 to float32
+    config = FeedbackConfig(turns=3)
+    narrow = self_consistent_run(ModelParams(model, np.float32(0.3), 0.6), config)
+    wide = self_consistent_run(ModelParams(model, float(np.float32(0.3)), 0.6), config)
+    assert narrow == wide
+    assert type(ModelParams(model, np.float32(0.3), 0).p1) is float
+    assert type(ModelParams(model, 0, np.float16(0.5)).p2) is float
+    assert type(FeedbackConfig(vc=np.float32(0.1)).vc) is float
+    assert type(SweepSpec(f"model{model.value}-sc-blind", vc=np.float32(0.1)).vc) is float
 
 
 def test_narrow_numpy_counts_do_not_overflow():

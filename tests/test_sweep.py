@@ -1,4 +1,5 @@
 import concurrent.futures
+import pickle
 import sys
 import threading
 import time
@@ -41,6 +42,26 @@ def small(scenario, **kw):
     defaults = dict(resolution=6, master_seed=3)
     defaults.update(kw)
     return SweepSpec(scenario=scenario, **defaults)
+
+
+SCENARIO_TABLE = [
+    ("model1-plain", Model.AGGRESSION, False, GenderMode.BLIND),
+    ("model1-sc-blind", Model.AGGRESSION, True, GenderMode.BLIND),
+    ("model1-sc-gender", Model.AGGRESSION, True, GenderMode.SPECIFIC),
+    ("model2-plain", Model.SUPPORT, False, GenderMode.BLIND),
+    ("model2-sc-blind", Model.SUPPORT, True, GenderMode.BLIND),
+    ("model2-sc-gender", Model.SUPPORT, True, GenderMode.SPECIFIC),
+]
+
+
+def test_scenario_table():
+    # declaration order; a plain scenario keeps the blind mode its loop fields are checked under
+    assert len(Scenario) == len(SCENARIO_TABLE)
+    for member, (value, model, self_consistent, gender_mode) in zip(Scenario, SCENARIO_TABLE):
+        assert (member.value, member.model, member.self_consistent, member.gender_mode) == (
+            value, model, self_consistent, gender_mode)
+        assert Scenario(value) is member
+        assert pickle.loads(pickle.dumps(member)) is member
 
 
 def test_spec_validation():
