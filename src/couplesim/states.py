@@ -29,12 +29,15 @@ class Model(Enum):
     SUPPORT = 2     # parameter p is the perceived social support s
 
 
-def validate_param(value, name: str = "param"):
+def validate_param(value, name: str = "param", scalar: bool = False):
     """Return value if every entry lies in [0, 1] (NaN does not), else raise.
 
-    A scalar or 0-d array comes back as a float, any other array as given.
+    A scalar or 0-d array comes back as a float, any other array as given;
+    with scalar=True any other array raises.
     """
     array = np.asarray(value)
+    if scalar and array.ndim:
+        raise ValueError(f"{name} must be a scalar, got {value!r}")
     if not ((0.0 <= array) & (array <= 1.0)).all():
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return value if array.ndim else float(value)
@@ -62,7 +65,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", Model(self.model))
         for name in ("p1", "p2"):
-            object.__setattr__(self, name, validate_param(getattr(self, name), name))
+            object.__setattr__(self, name, validate_param(getattr(self, name), name, scalar=True))
 
 
 def encode(state: CoupleState) -> int:

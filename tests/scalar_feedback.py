@@ -1,20 +1,20 @@
 """Scalar feedback loop: the independent oracle for self-consistent sweeps.
 
-One cell runs one turn at a time in plain Python: an N = 1 evolve from
-delta_distribution(start) under its 16x16 kernel, read_fields, v1 and v2
-clipped to [0, 1], their average under gender-blind feedback, and the
-paper's update written with Python floats, whose `**` is libm's pow:
+One cell runs one turn at a time in plain Python: an N = 1 measure from
+start (the package's one exact measurement), v1 and v2 clipped to [0, 1],
+their average under gender-blind feedback, and the paper's update written
+with Python floats, whose `**` is libm's pow:
 
   aggression (f): a' = 1 - (1-a)^(1+v-vc) if v > vc, else a^(vc-v+1)
   support (g):    s' = s^(v-vc+1)         if v > vc, else 1 - (1-s)^(1+vc-v)
 
-This file is test code: it shares the kernel builder, evolve and
-read_fields with the package, but not feedback_turns, f_update or
-g_update, so it does not test the stacked update against itself.
+This file is test code: it shares measure with the package, but not
+feedback_turns, f_update or g_update, so it does not test the stacked
+update or the skip of settled cells against themselves.
 """
 
-from couplesim import Model, ModelParams, build_couple_kernel, delta_distribution, evolve
-from couplesim.observables import read_fields
+from couplesim import Model
+from couplesim.feedback import measure
 
 
 def paper_update(model: Model, p: float, v: float, vc: float) -> float:
@@ -30,9 +30,7 @@ def scalar_feedback_fields(
 ) -> list[float]:
     """The read_fields row of one cell measured after `turns` updates, v clipped."""
     for turn in range(turns + 1):
-        kernel = build_couple_kernel(ModelParams(model, p1, p2))
-        dist = evolve(delta_distribution(start), kernel, inner_steps)
-        *observables, v1, v2 = read_fields(model, dist, p1, p2)[0].tolist()
+        *observables, v1, v2 = measure(model, [p1], [p2], start, inner_steps, 1)[0].tolist()
         v1, v2 = min(max(v1, 0.0), 1.0), min(max(v2, 0.0), 1.0)
         if turn == turns:
             return [*observables, v1, v2]

@@ -6,17 +6,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from couplesim import (
+    COUPLE_STATES,
     Engine,
     FeedbackConfig,
     GenderMode,
     Model,
     ModelParams,
+    delta_distribution,
+    encode,
+    evolve,
     f_update,
+    feedback,
     g_update,
     self_consistent_run,
 )
-from couplesim.feedback import feedback_turns, measure
-from couplesim.observables import FIELD_NAMES
+from couplesim.feedback import TABLE_STEPS, feedback_turns, measure
+from couplesim.kernels import couple_kernels
+from couplesim.observables import FIELD_NAMES, read_fields
 from couplesim.rng import derive_seed_array
 from scalar_feedback import paper_update
 
@@ -295,3 +301,55 @@ def test_measure_does_not_depend_on_stack_order(model, engine, cells, data):
     width = len(FIELD_NAMES[model])
     assert fields.shape == shuffled.shape == (len(cells), width)
     assert shuffled.tobytes() == fields[order].tobytes()
+
+
+# The Bernstein table against the step-by-step evolution it replaces up to
+# TABLE_STEPS: both sum non-negative terms in different orders, and the
+# largest field difference over every model, start and step count below is
+# 2.2e-15.
+TABLE_BOUND = 1e-13
+TABLE_P = np.array([0.0, 1.0, 0.0, 1.0, 0.5, 1e-9, 1.0 - 1e-9, 0.3, 0.9, 0.02])
+TABLE_Q = np.array([0.0, 0.0, 1.0, 1.0, 0.5, 0.7, 1e-9, 1.0 - 1e-9, 0.1, 0.98])
+
+
+def _evolved_fields(model, p1, p2, start, steps):
+    dist = np.tile(delta_distribution(start), (len(p1), 1))
+    return read_fields(model, evolve(dist, couple_kernels(model, p1, p2), steps), p1, p2)
+
+
+@pytest.mark.parametrize("start", COUPLE_STATES, ids=str)
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: str(m.value))
+def test_table_measure_equals_the_evolution_at_every_step_count(model, start):
+    assert TABLE_STEPS >= FeedbackConfig.inner_steps  # the paper's turns read the table
+    for steps in range(TABLE_STEPS + 1):
+        table = feedback._table(model, encode(start), steps)
+        assert table.shape == (steps + 1, (steps + 1) * 16) and (table >= 0.0).all()
+        got = measure(model, TABLE_P, TABLE_Q, start, steps, 1)
+        expected = _evolved_fields(model, TABLE_P, TABLE_Q, start, steps)
+        assert np.abs(got - expected).max() <= TABLE_BOUND, steps
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    model=st.sampled_from(list(Model)),
+    start=st.sampled_from(COUPLE_STATES),
+    steps=st.integers(0, TABLE_STEPS),
+    cells=st.lists(st.tuples(corner_or_unit, corner_or_unit), min_size=1, max_size=16),
+)
+def test_table_measure_equals_the_evolution_at_drawn_parameters(model, start, steps, cells):
+    p1, p2 = (np.array([cell[k] for cell in cells]) for k in (0, 1))
+    got = measure(model, p1, p2, start, steps, 1)
+    assert np.abs(got - _evolved_fields(model, p1, p2, start, steps)).max() <= TABLE_BOUND
+
+
+@pytest.mark.parametrize("steps", [0, FeedbackConfig.inner_steps, TABLE_STEPS, TABLE_STEPS + 1],
+                         ids=["0", "inner", "bound", "above"])
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: str(m.value))
+def test_each_stack_row_equals_its_cell_alone(model, steps):
+    gen = np.random.default_rng(steps)
+    p1, p2 = np.r_[TABLE_P, gen.random(40)], np.r_[TABLE_Q, gen.random(40)]
+    stack = measure(model, p1, p2, (1, 0), steps, 1)
+    for n in range(len(p1)):
+        alone = measure(model, p1[n:n + 1], p2[n:n + 1], (1, 0), steps, 1)
+        assert alone.tobytes() == stack[n].tobytes(), n
+    assert measure(model, p1[:0], p2[:0], (1, 0), steps, 1).shape == (0, len(FIELD_NAMES[model]))

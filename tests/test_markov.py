@@ -12,6 +12,7 @@ from couplesim import (
     step,
 )
 from couplesim.kernels import couple_kernels
+from couplesim.markov import bernstein_table
 
 ABSORBING = [encode(s) for s in ((0, 0), (2, 2), (2, -1), (-1, 2))]
 
@@ -136,7 +137,7 @@ def test_evolve_trace_shape_and_consistency():
             assert trace[t].tobytes() == evolve(stack, kernels, t).tobytes()
 
 
-@pytest.mark.parametrize("run", [evolve, evolve_trace])
+@pytest.mark.parametrize("run", [evolve, evolve_trace, bernstein_table])
 def test_negative_steps_raise_at_call_time(run):
     kernel = build_couple_kernel(ModelParams(Model.SUPPORT, 0.4, 0.7))
     with pytest.raises(ValueError, match="steps must be >= 0"):

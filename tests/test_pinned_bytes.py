@@ -45,33 +45,33 @@ PINNED = {
         "v2.pgm": "e18617bcd04344ad8743909b2ae53cb733f6dd69341049b59a5be187886e823d",
     },
     "exact model1-sc-blind": {
-        "combined.csv": "db96bf44d69532703887c68360c6ef48ce41d29e5371f0994668e29a4f060575",
-        "female_violence.csv": "80aad576022119242e0e8e33492670eb06862d9eeaedbd0d3bf29d4e727a6afc",
+        "combined.csv": "0752df031f2916ee04ae5bd7756985c5caed344cfef45ca67f74365df0e3fc17",
+        "female_violence.csv": "59719742f904c9909fade632261aab633c3002186a4a79bd000b1750ed7de2f7",
         "female_violence.pgm": "4879798b7845ed88f8897c5ced3e890e96dce36aee2381c82a2687d76ccb8a8b",
-        "male_violence.csv": "7295f7748b7e6940fed724edf6578689cceedc83188bece10750f4079fc4cb95",
+        "male_violence.csv": "a19f28f32b0298386cac9242768fa75f90f3947d0f8c50cd36e371fc88ecaee7",
         "male_violence.pgm": "052fe85142d118c6be43b79367723a13e633873b8e2457255e05e0c773acbaa5",
-        "normal.csv": "388bac59751643aff828fb37382e85137f0a64b4eb755a1d417832b47fc909e9",
+        "normal.csv": "e78768decc3bf014f1a9bb8bc9013ef3f5dda87431ed2bdde0e4260ee0207df3",
         "normal.pgm": "35d1d33454a6ecc84b90cfc820577d2aab1402f55e4261bd01c066c0d195c946",
-        "separation.csv": "d62345ea0f3eeaaf58743e6fcc83065f776a689f302cd3282407b357fa71808e",
+        "separation.csv": "16f5a1cc0be971aedc3a59a48d32c6f38ab38118eebc9eccb755f4fc78ac6db4",
         "separation.pgm": "175c32fb5e4a8f4f91b542f9526b9cd3248e8ac6ab922765d65700ea349fbc5d",
-        "v1.csv": "18efa3add996848d8372b6fd8893bb38661f7a69809625b662e13db0f8933659",
+        "v1.csv": "cccacaac366824bc81a5e82ac81902cd70947d6feb77560cfb3c776ba5ed8e1a",
         "v1.pgm": "db2d4fe4d0c797ea1a87a27f8aa7ced50f4b7697736fcb66c28fbdc7cba66b46",
-        "v2.csv": "4f7aaa5c41437cd6e46d1697a84d3245119ccbe2bacc86ea12ac5e0532760c01",
+        "v2.csv": "cd73695c56850e71a6b212f9421e00e4c820730d33e32b1b45c770f4ae1b5ad2",
         "v2.pgm": "a2ea88a9a50a3683a15b73b59e0eccce72fe35f7eb34e33a9e3c665ba722ff5c",
     },
     "exact model1-sc-gender": {
-        "combined.csv": "fa4e714d16de31f06fdd081ea6746ae2be135e137704fd0475b95c1b769973b9",
-        "female_violence.csv": "a2cadfc92233260004fedd2a603725dde12f6919474849b61883b30b44fa7952",
+        "combined.csv": "781654b36bc0d4e60b74addf11233b4de6af5f49a7ba0c9a8e9bbc15890e0c1c",
+        "female_violence.csv": "dc0a909a29ac1e57c918c39002d242811fab5d9f5e1bce179db8ef9da1bc1aba",
         "female_violence.pgm": "09fd5e407b16e96a707fc039878d19bc917bbcb3acd3160eef62ea0e2e44770c",
-        "male_violence.csv": "9d565f958ffd814fb5c5b4d3d61a848b69e74634a1bc5eead83563bd96c5c114",
+        "male_violence.csv": "b1d10029ca4f6e9c82ddf3c5a34361381a95de8c2da393088866a424b6f37e61",
         "male_violence.pgm": "f8aed87ce17305f4a6739656c2dbf7800c8f3fe7584b2cac47e99d53f8bdddb6",
-        "normal.csv": "dde20235377201975824744e8ece93c6c0d12b87669bd2b7a1cf2f36d08e442f",
+        "normal.csv": "c2623d63cb1db91679130408a8cd55f1a2e66d3fbae50f3e91682bdbf53afd13",
         "normal.pgm": "ec4b2b31b9aaa8f235d85adcb17c3ae86e803028317d23746c3220b70c503b8e",
-        "separation.csv": "4fc337fc7775562fb6c877dca323adafdd37dee0f61a9b7562abdeac7144ac53",
+        "separation.csv": "3589bf3b7b1bb37e3b93a019b807c63b3467d9db05db23b143fc7b56a74a6802",
         "separation.pgm": "13f8bd4368955a7d7eb240d70c7b9b882226a5587c0371614ad2a45b95d46c39",
-        "v1.csv": "33b88a5b65c98357b559133715951ae4eaef4cbb4b70f189572e1fe66ad49657",
+        "v1.csv": "37a378a2dfb5f77b6c8c56a0947233c5a4c3a430c0252e8a7b73c7576cc051a7",
         "v1.pgm": "c8343870f385f3727a9fcc58c76c9cd85875e57b48e786f1e0ef64f127951f43",
-        "v2.csv": "68b843888cb3aba4755124e1c523762a18adc8fd4829c2f325a6567b367ec5db",
+        "v2.csv": "64bc9b7ecc3bdd817d65b4a72d61a4d3e1a5c46b5e8655ebe572930f91b91fdd",
         "v2.pgm": "c8dfa2d4897fa5cfbc4ad3987777ee0df2f5ddf5727554bad04adf963d032965",
     },
     "exact model2-plain": {
@@ -94,41 +94,41 @@ PINNED = {
         "violence_cycle.pgm": "ba0b77cd0722b33cb27d10fe8046da9b153fe073b3d3fcaccc1fccee9d5a92a0",
     },
     "exact model2-sc-blind": {
-        "combined.csv": "2a089abee13032949dda5d5e4eae72c26f25bb584ffe6cd0aef31a5db9d2de7f",
-        "mutual_violence.csv": "5b55324dc18f3890433278848a01c1ef3d2c5fdce8e37f91252d19ad442cb5eb",
+        "combined.csv": "2393def87bba96c0068f581450e70fb71d15f8a2b7039e6df961f0a97f29d795",
+        "mutual_violence.csv": "34d2ddb69978d82121eb5e511d1e02c16c7900708b8f81aa6e6b63b5813b5be2",
         "mutual_violence.pgm": "924e2b2e65a5cd3391a1da9f12585c6a5eef858669d43392d8618239e762fb03",
-        "normal.csv": "3ce5012e471fc27fd0f3ce7ed51cf15c8e492cf06fdcc738c30543f92bf93392",
+        "normal.csv": "0a6efe273beaa0a9a32bd160fbefc0b8cba8638b3267dda3b35962bb3a4e85cc",
         "normal.pgm": "6bded26e163c7e2ff5bdd21969fff00f6d1dea54073c33829cbe93aa7f439e15",
-        "recovering.csv": "89fb1e662caef91f38ffb29d9c0832d85da72bfd2ab14c1ff1645c5c37e12421",
+        "recovering.csv": "77d1580dedd16da13045de9aad0315c7270fac260abc414d5d0e0f1616f01749",
         "recovering.pgm": "dd888d9157c7a1e972946940b0c77d455e1169a4fee2f1e45cf4646ea51f00d0",
-        "separation.csv": "08e294d2e5f1486ab8541dbe9465e75ad16f3fa8ede8f1591e8beed750d418f0",
+        "separation.csv": "1d918754292321d0271ec4ae454fdc9b9f1c0705cc5ef790b7bf5159eed46456",
         "separation.pgm": "e6713c6afaf876288bb880dc2432d65ec842a66a29076c55463a3a9f1561f475",
-        "threshold.csv": "c2bb5bf7fef1bc66388492b802c5b8af259fb61c42e909c5918b5bea633f7c38",
+        "threshold.csv": "3bd8bf8e69871a98948a15950fd918c5c722655e903573cff0b5cf53c1b9107e",
         "threshold.pgm": "0a0363881da7c8d11a01c648d80afbc76132f781557cdd433a142a56097ee4f1",
-        "v1.csv": "594d062f06d75c31dac412c418df647a0d73fe9f54a1adf42e169cab3a7aac2b",
+        "v1.csv": "a196d65ce7e4da8c6158f52d6159247cf80aded31b313a02cfe99a67a1c72d6e",
         "v1.pgm": "50b86c24bf7c03f8f3a55bf9815df2b58dc6dfa97790c93307658d6ea4a3bf47",
-        "v2.csv": "4cd2b97683b49c4797c5969fd5240625944fdef24b35d69cd6801a57f7de825c",
+        "v2.csv": "71f6bd3a1e42987d6237aa3f8dc2c474a4f7450e0b1a2028161dee7849918fee",
         "v2.pgm": "50d980dfaba0bf04f71b1fb0e007952457b301a8f84bc6936ac698d8776009e9",
-        "violence_cycle.csv": "2fc080fc0ef80724e568eda296de98a22f4a32a066f82fd792b6bc5c5844d11f",
+        "violence_cycle.csv": "936bdb30cc5e9937171261211daefc9983bae753cf0ab5910b6125938135cccc",
         "violence_cycle.pgm": "81e462819b874ee667a2b967a264d066363463f85ea2cbdf02f85f5df8ee0148",
     },
     "exact model2-sc-gender": {
-        "combined.csv": "997a66d0976fa38e851c2d32be28256821cbb3e22dffe1fcb77ddd07880acb63",
-        "mutual_violence.csv": "3baab7fb561cf0c54f0b6e3cc733d58c11bd84d8dbefc8c06029d4dec330366a",
+        "combined.csv": "2707325653973be47e825ed4c647d19317252e8c31de93dc00a5616a80ae0794",
+        "mutual_violence.csv": "a3f14973207c3db414b3ef93b7658056640679469792cf00e4d5c17cb8ce1b1e",
         "mutual_violence.pgm": "9bb1dec52f0485b13b4fd561d2fb7f2dd86ebe88265bf356eb34fca62a79403b",
-        "normal.csv": "f64677ec2cbbbc03f3116dbf21f77b135dde5ab51cc641803338f9b277a06a30",
+        "normal.csv": "45be861923dcd9243bba46d442dbec71a5abaf045ff9996125c65b3656bb9f66",
         "normal.pgm": "ee77ed5a5e9ad4da3e3f5fbeaf38d3ee480377b3c7074c14b9f05c2a2b41181c",
-        "recovering.csv": "d3f7b2c30205b1654867c8d220cb9dd6d4435c208606579c7193cdbb95186d48",
+        "recovering.csv": "65cd72245bdbd2ec601e60bd5a5155d9599f9ef6a299f95b4b1e9a509950a402",
         "recovering.pgm": "5445f143e748d39ff9ea5eaf6ebb2dee64c7707303d03594f0f8e2928409341c",
-        "separation.csv": "712a9a608a60dc95531af89c65bef6bf4f0253d732fbd5bcfa98a61e434f8e85",
+        "separation.csv": "9ac4ffc92bdabb18b0c0ab9fda549d77e8708b3f3f254fc2f71577de2e0507fd",
         "separation.pgm": "e6713c6afaf876288bb880dc2432d65ec842a66a29076c55463a3a9f1561f475",
-        "threshold.csv": "29aa1b350dc3e70c90b8b17c3efd806275f8ceed124022c025860d18ba5f1379",
+        "threshold.csv": "7981bc71142eeae77e4ce7301ddb841576b22451e7fadd33a757967b5424f0db",
         "threshold.pgm": "d98a78a9705a8458d0b88d6f1eca6cf2a16cbe93675f910138afb9bf8ddbc0a4",
-        "v1.csv": "f6c82952f7ca3a908542d8811abb9ecc3c9b05bb0c6fa04fc50bce2f668df7cb",
+        "v1.csv": "cdc061cad7617d7709ad601578bda18361c1902b8de22621c59ea02229953a81",
         "v1.pgm": "82d4bb58c69538212e278f8d01a2eff52c0850cc6490dccefc14dcd1eaef9d49",
-        "v2.csv": "b375650555f7059e8ea99e2355cf60858773861a2a3e971aff555c5847eda716",
+        "v2.csv": "1fb983d567866dbce99838fdfa7d237af2e936a873aa3af58223e46e956a4ad8",
         "v2.pgm": "4b5c8da9d177b78b2b46deb6ff823e651080553bc0828e4e41ee107b4cc44bcf",
-        "violence_cycle.csv": "f4c7febf41b43880d2e9496744aa953664a16814a2e81422d89d640ba390e2dd",
+        "violence_cycle.csv": "41de4a3b9174acd1cbdb4494383c88aa534f3c01770a77cde817a4d64fd9945f",
         "violence_cycle.pgm": "65bf8f4d62a64de1a75729f7a5666a7296380c54e97e5de14a98bccc3a228d6d",
     },
     "monte-carlo model1-sc-blind": {
@@ -166,10 +166,10 @@ PINNED = {
         "violence_cycle.pgm": "226b956336ca7ce27760b958e322e75e4c7d863561c963248cfcbbdeb9ba0818",
     },
     "exact selfconsistent model1": {
-        "trace.csv": "a75ff26e1a5745988c6b5cc8a0a59a0014fd8ccfe572965e9ea3333d69929848",
+        "trace.csv": "3a2777160ae61023875a720f12f9b51e5ab923edf3cb621f1946a9d514e61d7c",
     },
     "exact selfconsistent model2": {
-        "trace.csv": "f1948c14441c6f5885b41ab7c8b815b991464cdc1da0347bac71ceb5f6defb33",
+        "trace.csv": "3ea8f9ac4bf25d67e980ad38aeb9ce5c5098fa83d6858874fad2ba880a116f69",
     },
     "monte-carlo selfconsistent model1": {
         "trace.csv": "846cdb438b195ce7405caaba4ecb4dd2e358287d8132ad9452533db7bc26fbe8",
@@ -198,33 +198,33 @@ PINNED_HASWELL = {
         "v2.pgm": "e18617bcd04344ad8743909b2ae53cb733f6dd69341049b59a5be187886e823d",
     },
     "exact model1-sc-blind": {
-        "combined.csv": "fb6dd0357c6662d01a05dce0961b3724a3287d645ab5a063c00049497347943b",
-        "female_violence.csv": "80aad576022119242e0e8e33492670eb06862d9eeaedbd0d3bf29d4e727a6afc",
+        "combined.csv": "2cf047c5583dd8616e7c3d42aa8c1cdf0c84d2305b3d3eb5c6f5f02daab7028b",
+        "female_violence.csv": "2e8bc1492a81535e40b5d72087f54192e838dd11ffff0cd27504d5dff2557d2c",
         "female_violence.pgm": "4879798b7845ed88f8897c5ced3e890e96dce36aee2381c82a2687d76ccb8a8b",
-        "male_violence.csv": "7295f7748b7e6940fed724edf6578689cceedc83188bece10750f4079fc4cb95",
+        "male_violence.csv": "e69e1e8ee3523a19fd43c9f2d8f5ab52969dacdd78e0eb5bd5e025a24e6b1eaf",
         "male_violence.pgm": "052fe85142d118c6be43b79367723a13e633873b8e2457255e05e0c773acbaa5",
-        "normal.csv": "388bac59751643aff828fb37382e85137f0a64b4eb755a1d417832b47fc909e9",
+        "normal.csv": "e78768decc3bf014f1a9bb8bc9013ef3f5dda87431ed2bdde0e4260ee0207df3",
         "normal.pgm": "35d1d33454a6ecc84b90cfc820577d2aab1402f55e4261bd01c066c0d195c946",
-        "separation.csv": "10b509bb69d879656d7bb5dc85944a219de9b41bd2aab347a48c31267f88cf5c",
+        "separation.csv": "16f5a1cc0be971aedc3a59a48d32c6f38ab38118eebc9eccb755f4fc78ac6db4",
         "separation.pgm": "175c32fb5e4a8f4f91b542f9526b9cd3248e8ac6ab922765d65700ea349fbc5d",
-        "v1.csv": "18efa3add996848d8372b6fd8893bb38661f7a69809625b662e13db0f8933659",
+        "v1.csv": "8a3bb243b11347cbf38fb7cac664fcfe9dff19a34a201e9ca32110ee0cdb5905",
         "v1.pgm": "db2d4fe4d0c797ea1a87a27f8aa7ced50f4b7697736fcb66c28fbdc7cba66b46",
-        "v2.csv": "4f7aaa5c41437cd6e46d1697a84d3245119ccbe2bacc86ea12ac5e0532760c01",
+        "v2.csv": "260c66c65347c739608e1bf78082932336a2938193a62d3aa81de0628348dc53",
         "v2.pgm": "a2ea88a9a50a3683a15b73b59e0eccce72fe35f7eb34e33a9e3c665ba722ff5c",
     },
     "exact model1-sc-gender": {
-        "combined.csv": "51ae00c66e0e0c4aaae0e5dea1069255c4ee666b6874b86b6ce3f1b54806ebaf",
-        "female_violence.csv": "82a490571a5db03fa3a30032786527d8c808b108e0002d75487fdf54a576e007",
+        "combined.csv": "398010093b73725c217210fd8f5f2257b93ba66969777f282a17eb01e3a8b27d",
+        "female_violence.csv": "b09f2dfdd5ce7b2addd5fa13711231ed421446910b059f4fc503f7bbda975758",
         "female_violence.pgm": "09fd5e407b16e96a707fc039878d19bc917bbcb3acd3160eef62ea0e2e44770c",
-        "male_violence.csv": "c00d0be823e543758c7c8fb1efa34bca9e6dcd9c3e402d019b208ea0041dd335",
+        "male_violence.csv": "fead913f52075dd1d77a2548793fa146d2cf9550b05fa8449f0dd018deb2d3c2",
         "male_violence.pgm": "f8aed87ce17305f4a6739656c2dbf7800c8f3fe7584b2cac47e99d53f8bdddb6",
-        "normal.csv": "dde20235377201975824744e8ece93c6c0d12b87669bd2b7a1cf2f36d08e442f",
+        "normal.csv": "580d6e7303ddfe0e6599f5e1a8d494ade93ae6ebf7fc60c9dd2c02458ad31452",
         "normal.pgm": "ec4b2b31b9aaa8f235d85adcb17c3ae86e803028317d23746c3220b70c503b8e",
-        "separation.csv": "1089fba0cd68b480184ad6dd01cc77c55c3b5b81a6669946c8209a3d43c76f73",
+        "separation.csv": "c10ac22dd0063059fdedca1cbd92bcc9338768b6edefbe8cf02c1bacf0a24a60",
         "separation.pgm": "13f8bd4368955a7d7eb240d70c7b9b882226a5587c0371614ad2a45b95d46c39",
-        "v1.csv": "0a55323526145a391a868c98c5fb677e4c70b55ba1d5a802bb3d49d63a9884eb",
+        "v1.csv": "4b8a325f6a6d376ebef5537204bc9cb1032016d4d5871d1b173391a4cb8f8fcc",
         "v1.pgm": "c8343870f385f3727a9fcc58c76c9cd85875e57b48e786f1e0ef64f127951f43",
-        "v2.csv": "f935c88336c1bc7966fc223b64f1cb880518f246ab557253a5448af25a2533f7",
+        "v2.csv": "b63960b00aba16c9e1c95c0abbdc1b5eb20f635b017766065c1faa694869adad",
         "v2.pgm": "c8dfa2d4897fa5cfbc4ad3987777ee0df2f5ddf5727554bad04adf963d032965",
     },
     "exact model2-plain": {
@@ -247,48 +247,48 @@ PINNED_HASWELL = {
         "violence_cycle.pgm": "ba0b77cd0722b33cb27d10fe8046da9b153fe073b3d3fcaccc1fccee9d5a92a0",
     },
     "exact model2-sc-blind": {
-        "combined.csv": "9ee0f0580ec92822a03e06f8ee7d76255158f6778e9a902a888f590fef34c579",
-        "mutual_violence.csv": "9a3f4eb314449eb925243b044015efc961dfe706a5e93cebeeed596a80b71730",
+        "combined.csv": "9939c12c3ea4dbefee0c1cc788b1d88e10c3e61e8a93697b543bce16fb003913",
+        "mutual_violence.csv": "384bf8f32a6b2f4e9d06785c1f48277e40a89f24901d7d778ef60c6adac64563",
         "mutual_violence.pgm": "924e2b2e65a5cd3391a1da9f12585c6a5eef858669d43392d8618239e762fb03",
-        "normal.csv": "dc6dc0bdd18baa8ba55d1c2bd0cbdecd030c4d85a24c4b67e6f16d85eee16a09",
+        "normal.csv": "b28e12ac5cf9c20c871a61f42bc20b29fd6b59c4a78fd3618e78d999d18ab4cf",
         "normal.pgm": "6bded26e163c7e2ff5bdd21969fff00f6d1dea54073c33829cbe93aa7f439e15",
-        "recovering.csv": "2c7a57e3eba1b0b9c6d2f926b2c512c344e7d9e030d2e78c14b6fe68ffa8d57a",
+        "recovering.csv": "29af4cc1beb1aacfb1bd8ea5b396c7b5c9f0195d4b1e3fb1612c9105370e9402",
         "recovering.pgm": "dd888d9157c7a1e972946940b0c77d455e1169a4fee2f1e45cf4646ea51f00d0",
-        "separation.csv": "6a00bd1e528bd194bfedfa4b59b5f4ccf0b40b7703c2a4fd941b5f6171d4f574",
+        "separation.csv": "82651bfb64215bd83ed084ce19e4df4c88612e1ec78d9acbc3a586c423cc6484",
         "separation.pgm": "e6713c6afaf876288bb880dc2432d65ec842a66a29076c55463a3a9f1561f475",
-        "threshold.csv": "b132e07fe9b373864cd21a447fe3bfbd0800c6b9f12505f4c757e2b26d075140",
+        "threshold.csv": "c946da6ac5113b2c199f024f789884e95e35626ad111f2428c0b069313392c4a",
         "threshold.pgm": "0a0363881da7c8d11a01c648d80afbc76132f781557cdd433a142a56097ee4f1",
-        "v1.csv": "73a8475a47a27dea6f184a79e05decc03cfc221c514afd7aaf4536ae5391ba34",
+        "v1.csv": "1d5094546a2b66d6ccfc03ded0e55597687a309df649ed48ba6e78f90ccf9724",
         "v1.pgm": "50b86c24bf7c03f8f3a55bf9815df2b58dc6dfa97790c93307658d6ea4a3bf47",
-        "v2.csv": "a0694d07fa5e9f56d0cccf7ea3d974a27b7deffd6a0347330e25de257d23e468",
+        "v2.csv": "1421f445a6b8b7a8a525bbd18ece54684d4ae60703c7a6c5faa8ed5cdaba5c0a",
         "v2.pgm": "50d980dfaba0bf04f71b1fb0e007952457b301a8f84bc6936ac698d8776009e9",
-        "violence_cycle.csv": "4ec4c39b1bdb12dc96102f3dfdbb47561e26ab7d5b93af9b3a9a77b7a52cd28e",
+        "violence_cycle.csv": "39aa5b515c61bdfc0e18a735af74b8c709ad68c47bc66f92a21496303f7c6cab",
         "violence_cycle.pgm": "81e462819b874ee667a2b967a264d066363463f85ea2cbdf02f85f5df8ee0148",
     },
     "exact model2-sc-gender": {
-        "combined.csv": "67f02097f5d08a1a81b6a8392d1009ce7b9af39bd34acc3340dc65870f8410de",
-        "mutual_violence.csv": "5974961b48c63c1b414f651efc33996a1509efc13df97bf2c2179cd05d4f622e",
+        "combined.csv": "b331992a22c3f0d8a291d59dcb7ca92904cd43a339c5e955f020420d1746aa46",
+        "mutual_violence.csv": "1d8f787a657d96d3a55971d0a07d1d77b3a3bc522e89cd636571208d7db40268",
         "mutual_violence.pgm": "9bb1dec52f0485b13b4fd561d2fb7f2dd86ebe88265bf356eb34fca62a79403b",
-        "normal.csv": "08eeda994fd39fe64712612cd43a648198e574553ba9338f288bae5d3ba19dc6",
+        "normal.csv": "722627c4053478cf3bc537d1cb423237a68b5edf8d26ba0577ffd1fb58d5b906",
         "normal.pgm": "ee77ed5a5e9ad4da3e3f5fbeaf38d3ee480377b3c7074c14b9f05c2a2b41181c",
-        "recovering.csv": "f2075817893d02c4fdb17a9a6a034fdff8aea2a31f9a190e409ad5550e05f2e2",
+        "recovering.csv": "abf833f315acc2f742da3e1bfafad83737a4eaee8c30bbd7758d5800417484ed",
         "recovering.pgm": "5445f143e748d39ff9ea5eaf6ebb2dee64c7707303d03594f0f8e2928409341c",
-        "separation.csv": "1ec337c61a057e510be7771764bfef8098f6ec2fd07c45ffb2fcd2765c1be8a8",
+        "separation.csv": "f7a70407bbc7b176ea1e80a4018a8b10f8c38987d87c1e97abfb5df0e87b35c3",
         "separation.pgm": "e6713c6afaf876288bb880dc2432d65ec842a66a29076c55463a3a9f1561f475",
-        "threshold.csv": "ca2311cfe4e76377f3423edd4454d5ba97bbaee4445653cb496996527045ea69",
+        "threshold.csv": "e699bc35463473e5098061dee77b72d2031ed67b8c388386698cf27c59d46dc3",
         "threshold.pgm": "d98a78a9705a8458d0b88d6f1eca6cf2a16cbe93675f910138afb9bf8ddbc0a4",
-        "v1.csv": "0b1164ecd8e3023e1f61df861aa8687eba659fbe2ae8dd59ae3b731d57fc80be",
+        "v1.csv": "eccdbb0e077e17ed5967c693b9d307b7dfe917c19e3883dcaf605a79ce06d933",
         "v1.pgm": "82d4bb58c69538212e278f8d01a2eff52c0850cc6490dccefc14dcd1eaef9d49",
-        "v2.csv": "33342d423e177dc8a22bfb3b10dec5167b993114198f65a5e4afcd54ed95ad7d",
+        "v2.csv": "5ccb3cfb8cf70e9f9bbc513c947b886e63161c04b5e519e97933a7c325df50ac",
         "v2.pgm": "4b5c8da9d177b78b2b46deb6ff823e651080553bc0828e4e41ee107b4cc44bcf",
-        "violence_cycle.csv": "8eef38a20f0c0156c9b42c0796f1a7efcae7350b57d28208b0182e76a74d06fb",
+        "violence_cycle.csv": "2503752b5e9c4c2ebdf2f82083dbe4b4dc0f67aedecb64bcdd2ec622a45fd7e4",
         "violence_cycle.pgm": "65bf8f4d62a64de1a75729f7a5666a7296380c54e97e5de14a98bccc3a228d6d",
     },
     "exact selfconsistent model1": {
-        "trace.csv": "f94b0287c2dc553057b3229c69d9b15481d2381a1adff6ff5faaa8289bd2b975",
+        "trace.csv": "bd226dba7684ffe9bd78b5cd3b71e936d1afebf5519bfa80526428a47013a589",
     },
     "exact selfconsistent model2": {
-        "trace.csv": "586250767e47f0ad7f366c0657f59dad2d0f5ab2746652c420c7cf8c507a9ea5",
+        "trace.csv": "dc2b6d3b8d27a735fe02b7f632e2dd3364153e60c17492b429bc8039cc766a07",
     },
 }
 

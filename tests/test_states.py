@@ -191,6 +191,26 @@ def test_run_descriptions_store_params_as_python_floats(model):
     assert type(SweepSpec(f"model{model.value}-sc-blind", vc=np.float32(0.1)).vc) is float
 
 
+# A parameter of a run description given as an array of any shape but 0-d.
+NON_SCALARS = {
+    "ModelParams-p1": ("p1", lambda v: ModelParams(1, v, 0.3)),
+    "ModelParams-p2": ("p2", lambda v: ModelParams(2, 0.3, v)),
+    "FeedbackConfig-vc": ("vc", lambda v: FeedbackConfig(vc=v)),
+    "SweepSpec-vc": ("vc", lambda v: SweepSpec("model1-sc-blind", vc=v)),
+}
+
+
+@pytest.mark.parametrize("value", [np.array([0.3]), [0.3], np.full((1, 1), 0.3), np.array([])],
+                         ids=["(1,)", "list", "(1,1)", "(0,)"])
+@pytest.mark.parametrize("case", list(NON_SCALARS))
+def test_run_descriptions_refuse_non_scalar_params(case, value):
+    # a stored (1,) array made the description unhashable and failed deep in a run
+    name, build = NON_SCALARS[case]
+    with pytest.raises(ValueError, match=rf"^{name} must be a scalar, got "):
+        build(value)
+    assert build(np.array(0.3)) == build(0.3)
+
+
 def test_narrow_numpy_counts_do_not_overflow():
     # in the count's own dtype, turns + 1 wraps to -128 and 32768 // ensemble_size overflows
     trace = self_consistent_run(ModelParams(1, 0.3, 0.3), FeedbackConfig(turns=np.int8(127)))

@@ -15,20 +15,14 @@ from couplesim import (
     ModelParams,
     Scenario,
     SweepSpec,
-    build_couple_kernel,
-    delta_distribution,
     derive_seed,
     encode,
     estimate_distribution,
-    evolve,
-    gender_violence,
-    model1_basins,
-    model2_observables,
     run_sweep,
     self_consistent_run,
-    violent_marginals,
 )
 from couplesim import feedback, sweep
+from couplesim.feedback import measure
 from couplesim.kernels import couple_kernels
 from couplesim.observables import read_fields
 from couplesim.rng import derive_seed_array
@@ -288,11 +282,9 @@ def _single_cell(spec, i, j):
     if spec.scenario.self_consistent:
         last = self_consistent_run(params, spec.feedback_config(), start=spec.start)[-1]
         return {name: last[name] for name in spec.field_names}
-    kernel = build_couple_kernel(params)
-    dist = evolve(delta_distribution(spec.start), kernel, spec.effective_plain_steps)
-    if params.model is Model.AGGRESSION:
-        return {**model1_basins(dist), **gender_violence(dist)}
-    return {**model2_observables(dist, params.p1, params.p2), **violent_marginals(dist)}
+    row = measure(params.model, [params.p1], [params.p2], spec.start,
+                  spec.effective_plain_steps, 1)[0].tolist()
+    return dict(zip(spec.field_names, row))
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))
