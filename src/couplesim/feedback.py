@@ -51,8 +51,8 @@ from .states import (
 # evolve their kernels step by step. Medians of 100 alternating measures of
 # model 2 from (1, 0), stacks of 256 and 512 cells, 2 cores: the table took
 # 0.28-0.40x the evolve's time at 16 steps, 0.39-0.55x at 20, 0.53-0.88x at
-# 32, 1.08-1.27x at 40 and 0.99-1.57x at 48, and its table is ~(T+1)^2 16
-# doubles (139 KB at 32).
+# 32, 1.08-1.27x at 40 and 0.99-1.57x at 48. A table holds (T+1)^2 * 16
+# doubles, 139 KB at 32.
 TABLE_STEPS = 32
 
 

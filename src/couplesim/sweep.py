@@ -35,9 +35,9 @@ from .states import CANONICAL_START, CoupleState, Model, decode, encode, validat
 
 # Cells per exact stack. numpy's stacked matmul releases the GIL only on
 # stacks of more than 500 matrices, so a smaller bound would leave threads
-# (workers > 1) taking turns. A stack peaks at 3.5 KB a cell plain and 4.8
-# KB self-consistent (tracemalloc), 1.8-2.5 MB at 512, so the bound keeps a
-# grid's memory near that of one stack per worker.
+# (workers > 1) taking turns. A stack peaks at 3.4-3.8 KB a cell plain and
+# 5.1 KB self-consistent (tracemalloc), 1.7-2.6 MB at 512, so the bound
+# keeps a grid's memory near that of one stack per worker.
 STACK_CELLS = 512
 # Trajectories per Monte Carlo stack: ensemble_size of them for each
 # (cell, run) pair, and at least one pair. The walk's arrays peak at 50
