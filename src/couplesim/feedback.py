@@ -1,11 +1,12 @@
 """Self-consistent mean-field feedback on the control parameters.
 
 The couple is imagined surrounded by identical couples mirroring its own
-dynamics. Each turn, the chain restarts from the canonical initial state,
-runs a fixed number of inner steps, and the violence perceived in that
-environment nudges the parameters: aggressiveness polarizes toward 0 or 1
-(f_update), support erodes or recovers (g_update), depending on whether
-the perceived violence exceeds the threshold v_c.
+dynamics. Each turn, the chain restarts from the run's start state
+(`--start`, the paper's (1, 0) by default), runs a fixed number of inner
+steps, and the violence perceived in that environment nudges the
+parameters: aggressiveness polarizes toward 0 or 1 (f_update), support
+erodes or recovers (g_update), depending on whether the perceived
+violence exceeds the threshold v_c.
 
 Perceived violence per partner:
   aggression model: v1 = P(2,-1;T) + P(2,2;T), v2 = P(-1,2;T) + P(2,2;T)
@@ -16,16 +17,19 @@ Perceived violence per partner:
 Gender-blind feedback applies the average (v1+v2)/2 to both partners;
 gender-specific feedback applies v1 to partner 1 and v2 to partner 2.
 
-Both engines run a stack of N cells at once, one cell being N = 1, and
+Both engines run a stack of N runs at once as a row table
+(states.row_table: p1, p2, vc, start index and seed per row, checked once
+where the table is built), a single run being a table of one row, and
 every turn takes one `measure` of the stack. The exact engine reads a
 measurement of at most TABLE_STEPS steps, every turn at the reference
 setup's 20 inner steps, off a Bernstein table of the model and start
-(markov.bernstein_table), built once and cached; longer ones evolve the
-stack's kernels step by step. Both engines update p as arrays with
-libm's pow, the `**` of Python floats, so a cell's update does not depend
-on its place in the stack. f and g fix 0 and 1 exactly, so a cell with
-both p at 0 or 1 sits at a fixed point: sweeps measure such a cell only
-at the final turn, while traces (self_consistent_run) measure every turn.
+(markov.bernstein_table), built once and cached, one table for each start
+in the stack; longer ones evolve the stack's kernels step by step. Both
+engines update each row's p against its own vc as arrays with libm's pow,
+the `**` of Python floats, so a row's update does not depend on its place
+in the stack. f and g fix 0 and 1 exactly, so a row with both p at 0 or 1
+sits at a fixed point: sweeps measure such a row only at the final turn,
+while traces (self_consistent_run) measure every turn.
 """
 
 from __future__ import annotations
@@ -38,12 +42,12 @@ from typing import Iterator
 import numpy as np
 
 from .kernels import couple_kernels
-from .markov import bernstein_evolve, bernstein_table, delta_distribution, evolve
+from .markov import bernstein_evolve, bernstein_table, evolve
 from .montecarlo import estimate_distributions
 from .observables import FIELD_NAMES, read_fields
 from .rng import _u64, derive_seed_array
 from .states import (
-    CANONICAL_START, CoupleState, Model, ModelParams, decode, encode, validate_count,
+    CANONICAL_START, CoupleState, Model, ModelParams, Rows, encode, row_table, validate_count,
     validate_param,
 )
 
@@ -115,59 +119,69 @@ def g_update(supp, v, vc):
 
 @lru_cache(maxsize=64)
 def _table(model: Model, index: int, steps: int) -> np.ndarray:
-    """Read-only bernstein_table of model's kernel from couple state `index`."""
-    corners = couple_kernels(model, [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0])
-    table = bernstein_table(delta_distribution(decode(index)), corners, steps)
-    table.setflags(write=False)
-    return table
+    """Read-only bernstein_table of model's kernel from couple state `index`, 64-byte aligned.
 
-
-def measure(
-    model: Model, p1, p2, start: CoupleState, steps: int, ensemble_size: int, seeds=None
-) -> np.ndarray:
-    """(N, F) read_fields of N cells (length-N p1, p2) after `steps` steps from start.
-
-    seeds None is the exact engine, which ignores ensemble_size: up to
-    TABLE_STEPS steps it reads the cells off the cached Bernstein table of
-    (model, start, steps), beyond that it evolves their kernels. Otherwise
-    cell n is estimated from ensemble_size trajectories on derive_seed(seeds[n], i).
+    BLAS read a table at 20 and 32 steps 1.3-1.4x as fast from an address
+    that is a multiple of 64 bytes as from any other multiple of 8 (stacks
+    of 256 cells, one thread), with the same bits on the SkylakeX, Haswell
+    and Prescott kernels, so the copy keeps a measure's time from turning
+    on where the allocator put the table.
     """
-    p1, p2 = (validate_param(np.asarray(p, dtype=float), name)
-              for p, name in ((p1, "p1"), (p2, "p2")))
-    if seeds is not None:
-        dist = estimate_distributions(start, model, p1, p2, steps, ensemble_size, seeds)
+    corners = couple_kernels(model, [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0])
+    table = bernstein_table(np.eye(16)[index], corners, steps)
+    buffer = np.empty(table.size + 7)
+    aligned = buffer[-buffer.ctypes.data % 64 // 8:][:table.size].reshape(table.shape)
+    aligned[...] = table
+    aligned.setflags(write=False)
+    return aligned
+
+
+def measure(model: Model, rows: Rows, steps: int, ensemble_size: int) -> np.ndarray:
+    """(N, F) read_fields of the N rows of a table after `steps` steps from each row's start.
+
+    A table without seeds is the exact engine, which ignores ensemble_size:
+    up to TABLE_STEPS steps it reads each row off the cached Bernstein
+    table of (model, start, steps), one table per start in the stack, and
+    beyond that it evolves the rows' kernels. Otherwise row n is estimated
+    from ensemble_size trajectories on derive_seed(rows.seed[n], i).
+    """
+    if rows.seed is not None:
+        dist = estimate_distributions(model, rows, steps, ensemble_size)
     elif validate_count(steps, "steps", 0) <= TABLE_STEPS:
-        dist = bernstein_evolve(_table(model, encode(start), steps), p1, p2)
+        starts = np.flatnonzero(np.bincount(rows.start)).tolist()
+        dist = np.empty((len(rows.p1), 16))
+        for start in starts:
+            # one start, as in every sweep and trace, takes its rows without a mask
+            mine = rows.start == start if len(starts) > 1 else slice(None)
+            dist[mine] = bernstein_evolve(_table(model, start, steps), rows.p1[mine], rows.p2[mine])
     else:
-        dist = np.tile(delta_distribution(start), (len(p1), 1))
-        dist = evolve(dist, couple_kernels(model, p1, p2), steps)
-    return read_fields(model, dist, p1, p2)
+        dist = evolve(np.eye(16)[rows.start], couple_kernels(model, rows.p1, rows.p2), steps)
+    return read_fields(model, dist, rows.p1, rows.p2)
 
 
 def feedback_turns(
-    model: Model, p1, p2, config: FeedbackConfig, start: CoupleState = CANONICAL_START,
-    master_seed=0, _skip_settled: bool = False,
+    model: Model, rows: Rows, config: FeedbackConfig, _skip_settled: bool = False
 ) -> Iterator[tuple]:
     """Yield (p1, p2, fields) for turns 0..config.turns, updating in between.
 
-    p1 and p2 are length-N arrays, one entry per cell of the stack, and
-    fields is the (N, F) array of read_fields. The exact engine uses no
-    seed; the Monte Carlo engine measures turn k of cell n on seed
-    derive_seed(master_seed[n], k) (master_seed: length N, or one int).
-    The v1, v2 columns are clipped to [0, 1] before they feed the update.
-    With _skip_settled, turns before the last measure and update only the
-    cells not at a corner of [0,1]^2, and their fields hold just those rows.
+    rows is the stack's table, one run a row; p1 and p2 hold the rows'
+    parameters at the turn and fields the (N, F) array of read_fields.
+    Row n updates against its own rows.vc[n] (config.vc is not read). The
+    exact engine uses no seed; the Monte Carlo engine measures turn k of
+    row n on seed derive_seed(rows.seed[n], k). The v1, v2 columns are
+    clipped to [0, 1] before they feed the update. With _skip_settled,
+    turns before the last measure and update only the rows not at a
+    corner of [0,1]^2, and their fields hold just those rows.
     """
     update = f_update if model is Model.AGGRESSION else g_update
-    exact = config.engine is Engine.EXACT
+    p1, p2 = rows.p1, rows.p2
     for turn in range(config.turns + 1):
-        moving = np.ones(len(p1), dtype=bool)
+        moving = slice(None)
         if _skip_settled and turn < config.turns:
             moving = ~(((p1 == 0.0) | (p1 == 1.0)) & ((p2 == 0.0) | (p2 == 1.0)))
-        seeds = None if exact else derive_seed_array(master_seed, np.full(len(p1), turn))[moving]
-        fields = measure(
-            model, p1[moving], p2[moving], start, config.inner_steps, config.ensemble_size, seeds
-        )
+        seeds = None if config.engine is Engine.EXACT else derive_seed_array(rows.seed, turn)
+        now = rows._replace(p1=p1, p2=p2, seed=seeds).take(moving)
+        fields = measure(model, now, config.inner_steps, config.ensemble_size)
         # the unrenormalized evolution can leave v outside [0,1] by ~1e-16
         fields[:, -2:] = np.clip(fields[:, -2:], 0.0, 1.0)
         yield p1, p2, fields
@@ -177,8 +191,8 @@ def feedback_turns(
         if config.gender_mode is GenderMode.BLIND:
             v1 = v2 = (v1 + v2) / 2.0
         p1, p2 = p1.copy(), p2.copy()
-        p1[moving] = update(p1[moving], v1, config.vc)
-        p2[moving] = update(p2[moving], v2, config.vc)
+        p1[moving] = update(now.p1, v1, now.vc)
+        p2[moving] = update(now.p2, v2, now.vc)
 
 
 def self_consistent_run(
@@ -193,19 +207,16 @@ def self_consistent_run(
     and observables they generate, keyed turn, p1, p2, v1, v2 and then the
     observables of FIELD_NAMES[model][:-2]: the columns of the trace CSV.
     The trace has turns + 1 rows and the last one is the settled
-    measurement. The run is a stack of one cell; the exact engine is
+    measurement. The run is a table of one row; the exact engine is
     deterministic, and the Monte Carlo engine measures turn k on seed
     derive_seed(master_seed, k). Both engines refuse a master_seed that is
     no integer.
     """
-    _u64(master_seed, "seed")
-    model = init_params.model
-    names = FIELD_NAMES[model]
-    p1, p2 = np.array([init_params.p1]), np.array([init_params.p2])
+    p1, p2, model = init_params.p1, init_params.p2, init_params.model
+    rows = row_table([p1], [p2], [config.vc], [encode(start)], [_u64(master_seed, "seed")])
     trace = []
-    turns = feedback_turns(model, p1, p2, config, start, master_seed)
-    for turn, (p1, p2, fields) in enumerate(turns):
+    for turn, (p1, p2, fields) in enumerate(feedback_turns(model, rows, config)):
         *obs, v1, v2 = fields[0].tolist()
         trace.append({"turn": turn, "p1": float(p1[0]), "p2": float(p2[0]), "v1": v1, "v2": v2,
-                      **dict(zip(names, obs))})
+                      **dict(zip(FIELD_NAMES[model], obs))})
     return trace

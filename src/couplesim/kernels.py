@@ -68,15 +68,12 @@ _TABLES = {Model.AGGRESSION: _TAU_AGGRESSION, Model.SUPPORT: _TAU_SUPPORT}
 
 def _affine_tensors(model: Model) -> tuple[np.ndarray, np.ndarray]:
     """Constant and slope tensors, indexed [self+1, partner+1, next+1]."""
-    const = np.zeros((4, 4, 4))
-    slope = np.zeros((4, 4, 4))
+    tensors = np.zeros((2, 4, 4, 4))
     for (s, sp), row in _TABLES[model].items():
         for nxt, (c, m) in row.items():
-            const[s + 1, sp + 1, nxt + 1] = c
-            slope[s + 1, sp + 1, nxt + 1] = m
-    const.setflags(write=False)
-    slope.setflags(write=False)
-    return const, slope
+            tensors[:, s + 1, sp + 1, nxt + 1] = c, m
+    tensors.setflags(write=False)
+    return tensors[0], tensors[1]
 
 
 _AFFINE = {m: _affine_tensors(m) for m in Model}
@@ -89,11 +86,14 @@ def tau(model: Model, s_next: int, s_self: int, s_partner: int, param: float) ->
     return float(individual_kernel(model, param)[s_self + 1, s_partner + 1, s_next + 1])
 
 
-def individual_kernels(model: Model, params, name: str = "param") -> np.ndarray:
-    """(N,4,4,4) individual tables of N parameters, one broadcast of const + slope * p."""
+def individual_kernels(model: Model, params) -> np.ndarray:
+    """(N,4,4,4) individual tables of N parameters, one broadcast of const + slope * p.
+
+    The parameters are not checked here but where they enter: ModelParams,
+    row_table and individual_kernel.
+    """
     const, slope = _AFFINE[model]
-    params = validate_param(np.asarray(params, dtype=float), name)
-    return const + slope * params[:, None, None, None]
+    return const + slope * np.asarray(params, dtype=float)[:, None, None, None]
 
 
 @lru_cache(maxsize=512)
@@ -111,8 +111,7 @@ def partner_tables(model: Model, p1, p2) -> tuple[np.ndarray, np.ndarray]:
     at (s1, s2), partner 2 at (s2, s1), so partner 2's table is a
     transposed view. This is the only place the couple state is swapped.
     """
-    k2 = individual_kernels(model, p2, "p2").transpose(0, 2, 1, 3)
-    return individual_kernels(model, p1, "p1"), k2
+    return individual_kernels(model, p1), individual_kernels(model, p2).transpose(0, 2, 1, 3)
 
 
 def couple_kernels(model: Model, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:

@@ -20,9 +20,7 @@ from .states import CoupleState, encode, validate_count
 
 def delta_distribution(state: CoupleState) -> np.ndarray:
     """Unit mass on one couple state."""
-    dist = np.zeros(16)
-    dist[encode(state)] = 1.0
-    return dist
+    return np.eye(16)[encode(state)]
 
 
 def step(dist: np.ndarray, kernel: np.ndarray) -> np.ndarray:

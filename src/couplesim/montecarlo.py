@@ -7,8 +7,9 @@ against the cumulative transition probabilities in the fixed order
 (counter 2t+1); the parallel semantics make the order irrelevant for the
 law of the chain, but fixing it makes trajectories byte-reproducible.
 One walk advances a flat stack of trajectories: estimate_distributions
-samples the ensembles of N cells with it, estimate_distribution is its
-N = 1 case and sample_trajectory its one-trajectory case.
+samples the ensembles of the N rows of a row table with it,
+estimate_distribution is its one-row case and sample_trajectory its
+one-trajectory case.
 
 The walk compares integers, not doubles. The uniform draw is
 r = k * 2**-53 for the integer k = counter_bits(...) < 2**53, and that
@@ -25,7 +26,7 @@ import numpy as np
 
 from .kernels import partner_tables
 from .rng import _u64, counter_bits, derive_seed_array
-from .states import CoupleState, Model, ModelParams, decode, encode, validate_count
+from .states import CoupleState, Model, ModelParams, Rows, decode, encode, row_table, validate_count
 
 
 def _threshold(bound):
@@ -73,23 +74,20 @@ def sample_trajectory(
     return tuple(decode(int(flat[0])) for flat in walk)
 
 
-def estimate_distributions(
-    start: CoupleState, model: Model, p1, p2, steps: int, ensemble_size: int, master_seeds
-) -> np.ndarray:
-    """(N,16) empirical final-state distributions of N cells (length-N p1, p2).
+def estimate_distributions(model: Model, rows: Rows, steps: int, ensemble_size: int) -> np.ndarray:
+    """(N,16) empirical final-state distributions of the N rows of a Monte Carlo table.
 
-    Trajectory i of cell n runs on stream derive_seed(master_seeds[n], i)
-    (master_seeds: length N, or one int for all), so a cell's result does
-    not depend on its stack. All N * ensemble_size trajectories advance
-    together, one step at a time; only the last step is kept.
+    Trajectory i of row n starts at rows.start[n] and runs on stream
+    derive_seed(rows.seed[n], i), so a row's result does not depend on its
+    stack. All N * ensemble_size trajectories advance together, one step
+    at a time; only the last step is kept.
     """
     validate_count(ensemble_size, "ensemble_size", 1)
-    cells = len(p1)
-    # trajectory i of cell n sits at i * cells + n
-    seeds = derive_seed_array(master_seeds, np.arange(ensemble_size)[:, None])
-    seeds = np.broadcast_to(seeds, (ensemble_size, cells)).ravel()
-    flat = np.tile(16 * np.arange(cells) + encode(start), ensemble_size)
-    for flat in _walk(model, p1, p2, steps, seeds, flat):
+    cells = len(rows.p1)
+    # trajectory i of row n sits at i * cells + n
+    seeds = derive_seed_array(rows.seed, np.arange(ensemble_size)[:, None]).ravel()
+    flat = np.tile(16 * np.arange(cells) + rows.start, ensemble_size)
+    for flat in _walk(model, rows.p1, rows.p2, steps, seeds, flat):
         pass
     counts = np.bincount(flat, minlength=16 * cells).reshape(cells, 16)
     return counts / ensemble_size
@@ -98,9 +96,10 @@ def estimate_distributions(
 def estimate_distribution(
     start: CoupleState, params: ModelParams, steps: int, ensemble_size: int, master_seed: int
 ) -> np.ndarray:
-    """Empirical (16,) distribution of one ensemble: estimate_distributions with N = 1."""
-    model, p1, p2 = params.model, [params.p1], [params.p2]
-    return estimate_distributions(start, model, p1, p2, steps, ensemble_size, master_seed)[0]
+    """Empirical (16,) distribution of one ensemble: estimate_distributions of one row."""
+    # a plain measure reads no vc; 0.0 fills the column
+    rows = row_table([params.p1], [params.p2], [0.0], [encode(start)], [_u64(master_seed, "seed")])
+    return estimate_distributions(params.model, rows, steps, ensemble_size)[0]
 
 
 def format_trajectory(states: tuple[CoupleState, ...]) -> list[str]:

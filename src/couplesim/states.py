@@ -9,10 +9,13 @@ individual 4-way kernels.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .rng import _u64
 
 STATES = (-1, 0, 1, 2)
 
@@ -82,3 +85,34 @@ def decode(index: int) -> CoupleState:
 
 
 COUPLE_STATES: tuple[CoupleState, ...] = tuple(decode(i) for i in range(16))
+
+
+class Rows(namedtuple("Rows", "p1 p2 vc start seed")):
+    """A stack of N runs as a table of five length-N columns, one run a row.
+
+    p1, p2 and vc are the parameters and violence threshold, start the couple
+    state index a run starts from and seed its stream (None in an exact
+    table, which draws nothing). Every engine runs a stack as such a table,
+    and a single run is a table of one row. row_table builds one and checks
+    every column once; take slices checked rows and checks nothing.
+    """
+
+    def take(self, index) -> "Rows":
+        """The rows at index: a slice, a boolean mask or an index array."""
+        return Rows(*(None if column is None else column[index] for column in self))
+
+
+def row_table(p1, p2, vc, start, seed=None) -> Rows:
+    """Rows from 1-D columns of one length, checked; no seed makes an exact table.
+
+    p1, p2 and vc must be floats in [0, 1], start couple state indices
+    (integers 0..15) and seed integers, taken mod 2**64; a column of
+    another length or shape raises ValueError, as does any other value.
+    """
+    columns = [np.asarray(column) for column in (p1, p2, vc, start, seed) if column is not None]
+    if {column.shape for column in columns} != {(columns[0].size,)}:
+        raise ValueError(f"columns must be 1-D of one length, got {[c.shape for c in columns]}")
+    p1, p2, vc = (validate_param(c.astype(float), n) for c, n in zip(columns, ("p1", "p2", "vc")))
+    for index in set(columns[3].tolist()):
+        decode(index)  # a couple state index, or ValueError
+    return Rows(p1, p2, vc, columns[3].astype(int), seed if seed is None else _u64(seed, "seed"))

@@ -1,12 +1,14 @@
 """Parameter-plane scans over (p1, p2) in [0,1]^2.
 
-A sweep is cut, row-major over (i, j, run), into stacks of (cell, run)
-pairs, and each stack runs every turn of the feedback loop (or the plain
+A sweep is one row table (SweepSpec.rows), a row (p1, p2, vc, start,
+seed) for each (cell, run) pair, row-major over (i, j, run), every row at
+the spec's vc and start. Its stacks are consecutive slices of that table,
+and each stack runs every turn of the feedback loop (or the plain
 evolution or sampling) as whole arrays. The exact engine is deterministic,
-derives no seeds and runs one run per cell (repeats would reproduce it) in
-stacks of at most STACK_CELLS cells. Monte Carlo pair (i, j, r) samples on
-seed derive_seed(master_seed, i, j, r) in stacks of at most
-STACK_TRAJECTORIES trajectories. workers > 1 maps whole stacks over a
+derives no seeds (its rows hold none) and runs one run per cell (repeats
+would reproduce it) in stacks of at most STACK_CELLS rows. Monte Carlo row
+(i, j, r) samples on seed derive_seed(master_seed, i, j, r) in stacks of
+at most STACK_TRAJECTORIES trajectories. workers > 1 maps whole stacks over a
 pool of that many workers while the calling thread waits: threads for
 exact stacks (numpy's stacked matmul runs them without the GIL; on worker
 processes they measured 10% slower and took 16% more CPU time), processes
@@ -31,7 +33,9 @@ import numpy as np
 from .feedback import Engine, FeedbackConfig, GenderMode, feedback_turns, measure
 from .observables import FIELD_NAMES
 from .rng import _u64, derive_seed_array
-from .states import CANONICAL_START, CoupleState, Model, decode, encode, validate_count
+from .states import (
+    CANONICAL_START, CoupleState, Model, Rows, decode, encode, row_table, validate_count,
+)
 
 # Cells per exact stack. numpy's stacked matmul releases the GIL only on
 # stacks of more than 500 matrices, so a smaller bound would leave threads
@@ -123,6 +127,19 @@ class SweepSpec:
             return self.plain_steps
         return 500 if self.scenario.model is Model.AGGRESSION else 20
 
+    def rows(self) -> Rows:
+        """The grid's row table, row-major over (i, j, run), at vc and from start.
+
+        Row (i, j, r) holds p1 = grid[i], p2 = grid[j] and, on the Monte
+        Carlo engine, seed derive_seed(master_seed, i, j, r); exact rows
+        hold no seed.
+        """
+        shape = (self.resolution, self.resolution, self.effective_runs)
+        i, j, r = np.indices(shape).reshape(3, -1)
+        seed = None if self.engine is Engine.EXACT else derive_seed_array(self.master_seed, i, j, r)
+        vc, start = np.full(len(i), self.vc), np.full(len(i), encode(self.start))
+        return row_table(self.grid[i], self.grid[j], vc, start, seed)
+
     def feedback_config(self) -> FeedbackConfig:
         options = {f.name: getattr(self, f.name) for f in dataclass_fields(FeedbackConfig)
                    if f.name != "gender_mode"}  # set by the scenario
@@ -149,29 +166,21 @@ class SweepGrid:
         }
 
 
-def _stack_fields(spec: SweepSpec, pairs: range) -> np.ndarray:
-    """(len(pairs), F) fields of (cell, run) pairs, numbered row-major over (i, j, run)."""
-    model, exact = spec.scenario.model, spec.engine is Engine.EXACT
-    cell, run = np.divmod(np.array(pairs), spec.effective_runs)
-    i, j = np.divmod(cell, spec.resolution)
-    p1, p2 = spec.grid[i], spec.grid[j]
-    seeds = None if exact else derive_seed_array(spec.master_seed, i, j, run)
+def _stack_fields(spec: SweepSpec, rows: Rows) -> np.ndarray:
+    """(N, F) fields of a slice of spec.rows(), one row a (cell, run) pair."""
+    model = spec.scenario.model
     if spec.scenario.self_consistent:
-        *_, (_, _, fields) = feedback_turns(
-            model, p1, p2, spec.feedback_config(), spec.start, seeds, _skip_settled=True
-        )
+        *_, (_, _, fields) = feedback_turns(model, rows, spec.feedback_config(), _skip_settled=True)
         return fields
-    steps = spec.effective_plain_steps
-    return measure(model, p1, p2, spec.start, steps, spec.ensemble_size, seeds)
+    return measure(model, rows, spec.effective_plain_steps, spec.ensemble_size)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
     """Scan the full grid; workers > 1 spreads its stacks, never changing the output."""
     validate_count(workers, "workers", 1)
-    runs, exact = spec.effective_runs, spec.engine is Engine.EXACT
-    pairs = spec.resolution**2 * runs
+    runs, exact, rows = spec.effective_runs, spec.engine is Engine.EXACT, spec.rows()
     size = STACK_CELLS if exact else max(1, STACK_TRAJECTORIES // spec.ensemble_size)
-    stacks = [range(lo, min(lo + size, pairs)) for lo in range(0, pairs, size)]
+    stacks = [rows.take(slice(lo, lo + size)) for lo in range(0, len(rows.p1), size)]
     workers = min(workers, len(stacks))
     if workers == 1:
         blocks = [_stack_fields(spec, stack) for stack in stacks]

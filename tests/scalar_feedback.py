@@ -1,7 +1,7 @@
 """Scalar feedback loop: the independent oracle for self-consistent sweeps.
 
-One cell runs one turn at a time in plain Python: an N = 1 measure from
-start (the package's one exact measurement), v1 and v2 clipped to [0, 1],
+One cell runs one turn at a time in plain Python: a measure of a table of
+one row from start (the package's one exact measurement), v1 and v2 clipped to [0, 1],
 their average under gender-blind feedback, and the paper's update written
 with Python floats, whose `**` is libm's pow:
 
@@ -13,8 +13,9 @@ feedback_turns, f_update or g_update, so it does not test the stacked
 update or the skip of settled cells against themselves.
 """
 
-from couplesim import Model
+from couplesim import Model, encode
 from couplesim.feedback import measure
+from couplesim.states import row_table
 
 
 def paper_update(model: Model, p: float, v: float, vc: float) -> float:
@@ -30,7 +31,8 @@ def scalar_feedback_fields(
 ) -> list[float]:
     """The read_fields row of one cell measured after `turns` updates, v clipped."""
     for turn in range(turns + 1):
-        *observables, v1, v2 = measure(model, [p1], [p2], start, inner_steps, 1)[0].tolist()
+        rows = row_table([p1], [p2], [vc], [encode(start)])
+        *observables, v1, v2 = measure(model, rows, inner_steps, 1)[0].tolist()
         v1, v2 = min(max(v1, 0.0), 1.0), min(max(v2, 0.0), 1.0)
         if turn == turns:
             return [*observables, v1, v2]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from couplesim.feedback import TABLE_STEPS, feedback_turns, measure
 from couplesim.kernels import couple_kernels
 from couplesim.observables import FIELD_NAMES, read_fields
 from couplesim.rng import derive_seed_array
+from couplesim.states import row_table
 from scalar_feedback import paper_update
 
 
@@ -257,6 +259,12 @@ def test_config_takes_enum_values_as_members():
         FeedbackConfig(gender_mode="female")
 
 
+def _rows(p1, p2, start=(1, 0), seeds=None):
+    """A table of cells p1, p2 from one start at vc 0.1; Monte Carlo if seeds are given."""
+    n = len(p1)
+    return row_table(p1, p2, np.full(n, 0.1), np.full(n, encode(start)), seeds)
+
+
 @pytest.mark.parametrize("model,update", [(Model.AGGRESSION, f_update), (Model.SUPPORT, g_update)])
 def test_monte_carlo_stack_updates_each_cell_on_python_floats(model, update):
     # numpy's array `**` can differ from libm's pow in the last bit; the
@@ -268,7 +276,7 @@ def test_monte_carlo_stack_updates_each_cell_on_python_floats(model, update):
         gender_mode=GenderMode.SPECIFIC,
     )
     seeds = derive_seed_array(1, np.arange(200))
-    (a1, a2, fields), (b1, b2, _) = feedback_turns(model, p1, p2, config, master_seed=seeds)
+    (a1, a2, fields), (b1, b2, _) = feedback_turns(model, _rows(p1, p2, seeds=seeds), config)
     for before, after, v in ((a1, b1, fields[:, -2]), (a2, b2, fields[:, -1])):
         expected = [update(p, x, config.vc) for p, x in zip(before.tolist(), v.tolist())]
         assert after.tolist() == expected
@@ -279,7 +287,7 @@ def test_measure_rejects_negative_steps_at_call_time(engine):
     p1, p2 = np.array([0.2, 0.7]), np.array([0.5, 0.1])
     seeds = None if engine is Engine.EXACT else np.array([3, 4], dtype=np.uint64)
     with pytest.raises(ValueError, match="steps must be >= 0"):
-        measure(Model.AGGRESSION, p1, p2, (1, 0), -1, 10, seeds)
+        measure(Model.AGGRESSION, _rows(p1, p2, seeds=seeds), -1, 10)
 
 
 @settings(deadline=None)
@@ -296,8 +304,9 @@ def test_measure_does_not_depend_on_stack_order(model, engine, cells, data):
     seeds = np.array([cell[2] for cell in cells], dtype=np.uint64)
     order = np.array(data.draw(st.permutations(range(len(cells)))), dtype=int)
     exact = engine is Engine.EXACT
-    fields = measure(model, p1, p2, (1, 0), 6, 16, None if exact else seeds)
-    shuffled = measure(model, p1[order], p2[order], (1, 0), 6, 16, None if exact else seeds[order])
+    rows = _rows(p1, p2, seeds=None if exact else seeds)
+    fields = measure(model, rows, 6, 16)
+    shuffled = measure(model, rows.take(order), 6, 16)
     width = len(FIELD_NAMES[model])
     assert fields.shape == shuffled.shape == (len(cells), width)
     assert shuffled.tobytes() == fields[order].tobytes()
@@ -324,7 +333,7 @@ def test_table_measure_equals_the_evolution_at_every_step_count(model, start):
     for steps in range(TABLE_STEPS + 1):
         table = feedback._table(model, encode(start), steps)
         assert table.shape == (steps + 1, (steps + 1) * 16) and (table >= 0.0).all()
-        got = measure(model, TABLE_P, TABLE_Q, start, steps, 1)
+        got = measure(model, _rows(TABLE_P, TABLE_Q, start), steps, 1)
         expected = _evolved_fields(model, TABLE_P, TABLE_Q, start, steps)
         assert np.abs(got - expected).max() <= TABLE_BOUND, steps
 
@@ -338,7 +347,7 @@ def test_table_measure_equals_the_evolution_at_every_step_count(model, start):
 )
 def test_table_measure_equals_the_evolution_at_drawn_parameters(model, start, steps, cells):
     p1, p2 = (np.array([cell[k] for cell in cells]) for k in (0, 1))
-    got = measure(model, p1, p2, start, steps, 1)
+    got = measure(model, _rows(p1, p2, start), steps, 1)
     assert np.abs(got - _evolved_fields(model, p1, p2, start, steps)).max() <= TABLE_BOUND
 
 
@@ -348,8 +357,62 @@ def test_table_measure_equals_the_evolution_at_drawn_parameters(model, start, st
 def test_each_stack_row_equals_its_cell_alone(model, steps):
     gen = np.random.default_rng(steps)
     p1, p2 = np.r_[TABLE_P, gen.random(40)], np.r_[TABLE_Q, gen.random(40)]
-    stack = measure(model, p1, p2, (1, 0), steps, 1)
+    rows = _rows(p1, p2)
+    stack = measure(model, rows, steps, 1)
     for n in range(len(p1)):
-        alone = measure(model, p1[n:n + 1], p2[n:n + 1], (1, 0), steps, 1)
+        alone = measure(model, rows.take(slice(n, n + 1)), steps, 1)
         assert alone.tobytes() == stack[n].tobytes(), n
-    assert measure(model, p1[:0], p2[:0], (1, 0), steps, 1).shape == (0, len(FIELD_NAMES[model]))
+    assert measure(model, rows.take(slice(0)), steps, 1).shape == (0, len(FIELD_NAMES[model]))
+
+
+@pytest.mark.parametrize("steps", [FeedbackConfig.inner_steps, TABLE_STEPS + 1],
+                         ids=["table", "stepped"])
+@pytest.mark.parametrize("engine", list(Engine), ids=lambda engine: engine.value)
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: str(m.value))
+def test_each_row_of_a_mixed_table_has_the_bits_of_its_run_alone(model, engine, steps):
+    # 18 rows over all 16 starts, three vc values and their own seeds, two
+    # of them settled corners, which a sweep skips until the last turn
+    gen = np.random.default_rng(steps)
+    p1, p2 = np.r_[0.0, 1.0, gen.random(16)], np.r_[1.0, 1.0, gen.random(16)]
+    vc, start = gen.choice([0.05, 0.1, 0.3], 18), gen.permutation(np.arange(18) % 16)
+    seeds = gen.integers(0, 2**63, 18)
+    exact = engine is Engine.EXACT
+    rows = row_table(p1, p2, vc, start, None if exact else seeds)
+    config = FeedbackConfig(inner_steps=steps, turns=3, gender_mode=GenderMode.SPECIFIC,
+                            engine=engine, ensemble_size=40)
+    plain = measure(model, rows, steps, config.ensemble_size)
+    *_, (q1, q2, looped) = feedback_turns(model, rows, config, _skip_settled=True)
+    for n in range(18):
+        alone = measure(model, rows.take(slice(n, n + 1)), steps, config.ensemble_size)
+        assert alone.tobytes() == plain[n].tobytes(), n
+        run = self_consistent_run(ModelParams(model, p1[n], p2[n]), replace(config, vc=vc[n]),
+                                  COUPLE_STATES[start[n]], int(seeds[n]))[-1]
+        assert [run[name] for name in FIELD_NAMES[model]] == looped[n].tolist(), n
+        assert (run["p1"], run["p2"]) == (q1[n], q2[n]), n
+
+
+@pytest.mark.parametrize("steps,seeds", [(TABLE_STEPS + 8, None), (20, None), (20, [3, 4])],
+                         ids=["stepped", "table", "monte-carlo"])
+def test_columns_of_unequal_length_are_refused_on_every_path(steps, seeds):
+    # a p2 of one entry against two cells once broadcast on the stepping
+    # path and failed on the other two with a shape or index error
+    message = r"^columns must be 1-D of one length, got \[\(2,\), \(1,\), \(2,\), \(2,\)"
+    with pytest.raises(ValueError, match=message):
+        measure(Model.SUPPORT, row_table([0.1, 0.2], [0.3], [0.1, 0.1], [4, 4], seeds), steps, 1)
+
+
+@pytest.mark.parametrize("column", ["p1", "p2", "vc", "start", "seed"])
+def test_row_table_refuses_a_short_column_or_a_bad_value_in_any_column(column):
+    good = dict(p1=[0.1, 0.2], p2=[0.3, 0.4], vc=[0.1, 0.2], start=[4, 15],
+                seed=np.array([0, 2**64 - 1], dtype=np.uint64))
+    with pytest.raises(ValueError, match="columns must be 1-D of one length"):
+        row_table(**{**good, column: good[column][:1]})
+    with pytest.raises(ValueError, match="columns must be 1-D of one length"):
+        row_table(**{**good, column: [good[column]]})  # two-dimensional
+    bad = {"p1": 1.5, "p2": -0.1, "vc": np.nan, "start": 16, "seed": 1.0}[column]
+    with pytest.raises(ValueError):
+        row_table(**{**good, column: [good[column][0], bad]})
+    rows = row_table(**good)
+    assert rows.start.tolist() == [4, 15] and rows.seed.dtype == np.uint64
+    second = [column.tolist() for column in rows.take([1])]
+    assert second == [[0.2], [0.4], [0.2], [15], [2**64 - 1]]

@@ -20,6 +20,7 @@ from couplesim import (
 from couplesim.kernels import individual_kernels, partner_tables
 from couplesim.montecarlo import _threshold, estimate_distributions
 from couplesim.rng import derive_seed_array
+from couplesim.states import row_table
 
 from sequential_sampler import DrawStream, sample_individual, sample_step, sequential_path
 
@@ -168,8 +169,8 @@ def test_estimate_distribution_properties():
     "sample",
     [lambda steps: sample_trajectory((1, 0), AGG, steps, seed=0),
      lambda steps: estimate_distribution((1, 0), AGG, steps, 10, master_seed=0),
-     lambda steps: estimate_distributions(
-         (1, 0), Model.SUPPORT, [0.2, 0.7], [0.5, 0.1], steps, 10, [0, 1])],
+     lambda steps: estimate_distributions(Model.SUPPORT, row_table(
+         [0.2, 0.7], [0.5, 0.1], [0.1, 0.1], [encode((1, 0))] * 2, [0, 1]), steps, 10)],
     ids=["sample_trajectory", "estimate_distribution", "estimate_distributions"],
 )
 def test_negative_steps_raise_at_call_time(sample):
@@ -216,7 +217,8 @@ def test_stacked_estimate_matches_sequential_sampling(model, start):
     p2 = np.array([0.5, 0.62, 0.35, 1.0, 0.0])
     masters = np.array([0, 99, 2**63 + 1, 2**64 - 1, 99], dtype=np.uint64)
     n, steps = 150, 6
-    stacked = estimate_distributions(start, model, p1, p2, steps, n, masters)
+    rows = row_table(p1, p2, np.full(5, 0.1), np.full(5, encode(start)), masters)
+    stacked = estimate_distributions(model, rows, steps, n)
     assert stacked.shape == (5, 16)
     for cell, master in enumerate(masters.tolist()):
         params = ModelParams(model, p1[cell], p2[cell])

@@ -24,7 +24,7 @@ from couplesim import (
     tau,
 )
 from couplesim.montecarlo import estimate_distributions
-from couplesim.states import STATES, validate_param
+from couplesim.states import STATES, row_table, validate_param
 
 
 def test_encode_examples():
@@ -102,7 +102,8 @@ def test_validate_param_accepts_exactly_the_unit_interval(values, shape):
 
 
 def _estimate(steps=1, ensemble_size=1):
-    return estimate_distributions((1, 0), Model.AGGRESSION, [0.5], [0.5], steps, ensemble_size, 0)
+    rows = row_table([0.5], [0.5], [0.1], [encode((1, 0))], [0])
+    return estimate_distributions(Model.AGGRESSION, rows, steps, ensemble_size)
 
 
 # Every count a run description or engine takes, each set to `n`.

@@ -26,6 +26,7 @@ from couplesim.feedback import measure
 from couplesim.kernels import couple_kernels
 from couplesim.observables import read_fields
 from couplesim.rng import derive_seed_array
+from couplesim.states import row_table
 from scalar_feedback import scalar_feedback_fields
 
 
@@ -160,11 +161,12 @@ def test_thread_stack_error_propagates_and_leaves_no_thread(failing, monkeypatch
     monkeypatch.setattr(sweep, "STACK_CELLS", 5)
     spec = small(Scenario.MODEL1_PLAIN, resolution=7, plain_steps=3)
     original = sweep._stack_fields
+    first = spec.rows().take(failing * sweep.STACK_CELLS)  # the failing stack's first row
 
-    def broken(spec, pairs):
-        if pairs.start == failing * sweep.STACK_CELLS:
+    def broken(spec, rows):
+        if (rows.p1[0], rows.p2[0]) == (first.p1, first.p2):
             raise RuntimeError(f"stack {failing}")
-        return original(spec, pairs)
+        return original(spec, rows)
 
     monkeypatch.setattr(sweep, "_stack_fields", broken)
     before = threading.active_count()
@@ -180,12 +182,12 @@ def test_thread_stack_error_stops_the_other_threads_taking_stacks(error, monkeyp
     original = sweep._stack_fields
     started = []
 
-    def first_fails(spec, pairs):
-        started.append(pairs.start)
-        if pairs.start == 0:
+    def first_fails(spec, rows):
+        started.append((rows.p1[0], rows.p2[0]))
+        if started[-1] == (0.0, 0.0):  # the first row of stack 0
             raise error("stack 0")
         time.sleep(0.02)  # lets the failing thread run while another holds a stack
-        return original(spec, pairs)
+        return original(spec, rows)
 
     monkeypatch.setattr(sweep, "_stack_fields", first_fails)
     with pytest.raises(error, match="stack 0"):
@@ -282,8 +284,8 @@ def _single_cell(spec, i, j):
     if spec.scenario.self_consistent:
         last = self_consistent_run(params, spec.feedback_config(), start=spec.start)[-1]
         return {name: last[name] for name in spec.field_names}
-    row = measure(params.model, [params.p1], [params.p2], spec.start,
-                  spec.effective_plain_steps, 1)[0].tolist()
+    rows = row_table([params.p1], [params.p2], [spec.vc], [encode(spec.start)])
+    row = measure(params.model, rows, spec.effective_plain_steps, 1)[0].tolist()
     return dict(zip(spec.field_names, row))
 
 
@@ -345,6 +347,48 @@ def test_monte_carlo_sc_cells_equal_single_runs(scenario, monkeypatch):
             assert grid.fields[name][i, j] == expected[k], (cell, name)
 
 
+@pytest.mark.parametrize("engine", list(Engine), ids=lambda engine: engine.value)
+@pytest.mark.parametrize("scenario", [Scenario.MODEL2_SC_GENDER, Scenario.MODEL2_SC_BLIND])
+def test_sc_cells_from_another_start_and_vc_equal_single_runs(scenario, engine, monkeypatch):
+    # model 2, as model 1 from (-1, 2) is absorbed at the first step in every cell
+    monkeypatch.setattr(sweep, "STACK_TRAJECTORIES", 8192)
+    monkeypatch.setattr(sweep, "STACK_CELLS", 4)
+    spec = _mc_spec(scenario, engine=engine, resolution=4, start=(-1, 2), vc=0.2)
+    grid = run_sweep(spec)
+    default = run_sweep(_mc_spec(scenario, engine=engine, resolution=4))
+    for name in spec.field_names:  # the start and vc reach every stack
+        assert not np.array_equal(grid.fields[name], default.fields[name]), name
+    for i in range(spec.resolution):
+        for j in range(spec.resolution):
+            params = ModelParams(scenario.model, float(spec.grid[i]), float(spec.grid[j]))
+            rows = []
+            for run in range(spec.effective_runs):
+                seed = derive_seed(spec.master_seed, i, j, run)
+                last = self_consistent_run(params, spec.feedback_config(), (-1, 2), seed)[-1]
+                rows.append([last[name] for name in spec.field_names])
+            expected = _run_average(rows)
+            for k, name in enumerate(spec.field_names):
+                assert grid.fields[name][i, j] == expected[k], (i, j, name)
+
+
+@pytest.mark.parametrize("engine", list(Engine), ids=lambda engine: engine.value)
+def test_spec_rows_run_row_major_over_cells_and_runs(engine):
+    spec = _mc_spec(Scenario.MODEL2_SC_GENDER, engine=engine, start=(2, -1), vc=0.25)
+    rows = spec.rows()
+    expected = [
+        (spec.grid[i], spec.grid[j], 0.25, encode((2, -1)), derive_seed(spec.master_seed, i, j, r))
+        for i in range(spec.resolution) for j in range(spec.resolution)
+        for r in range(spec.effective_runs)
+    ]
+    assert len(rows.p1) == len(expected) == spec.resolution**2 * spec.effective_runs
+    for column, values in zip(rows[:4], zip(*expected)):
+        assert column.tolist() == list(values)
+    if engine is Engine.EXACT:
+        assert rows.seed is None  # an exact sweep derives no seed
+    else:
+        assert rows.seed.tolist() == [row[4] for row in expected]
+
+
 @pytest.mark.parametrize("scenario", [Scenario.MODEL1_PLAIN, Scenario.MODEL2_PLAIN])
 def test_monte_carlo_plain_cells_equal_single_estimates(scenario, monkeypatch):
     monkeypatch.setattr(sweep, "STACK_TRAJECTORIES", 8192)
@@ -384,10 +428,11 @@ def _record_measurements(monkeypatch, engine):
     """Log (p1, p2, seeds) of every measurement the feedback loop makes; seeds is None if exact."""
     original, calls = feedback.measure, []
 
-    def spy(model, p1, p2, start, steps, ensemble_size, seeds):
-        assert (seeds is None) == (engine is Engine.EXACT)
-        calls.append((p1.copy(), p2.copy(), None if seeds is None else seeds.copy()))
-        return original(model, p1, p2, start, steps, ensemble_size, seeds)
+    def spy(model, rows, steps, ensemble_size):
+        assert (rows.seed is None) == (engine is Engine.EXACT)
+        seeds = None if rows.seed is None else rows.seed.copy()
+        calls.append((rows.p1.copy(), rows.p2.copy(), seeds))
+        return original(model, rows, steps, ensemble_size)
 
     monkeypatch.setattr(feedback, "measure", spy)
     return calls
@@ -399,14 +444,11 @@ def test_sweep_measures_settled_cells_only_at_the_last_turn(engine, monkeypatch)
         Scenario.MODEL1_SC_BLIND, resolution=4, runs_per_cell=2, engine=engine,
         ensemble_size=200, master_seed=9, inner_steps=6, turns=8,
     )
-    runs = spec.effective_runs
+    runs, rows = spec.effective_runs, spec.rows()
     cell, run = np.divmod(np.arange(spec.resolution**2 * runs), runs)
-    i, j = np.divmod(cell, spec.resolution)
-    seeds = derive_seed_array(spec.master_seed, i, j, run)
+    seeds = derive_seed_array(spec.master_seed, *np.divmod(cell, spec.resolution), run)
     # the same stack with every cell measured at every turn
-    full = list(feedback.feedback_turns(
-        spec.scenario.model, spec.grid[i], spec.grid[j], spec.feedback_config(), spec.start, seeds
-    ))
+    full = list(feedback.feedback_turns(spec.scenario.model, rows, spec.feedback_config()))
     calls = _record_measurements(monkeypatch, engine)
     grid = run_sweep(spec)  # one stack
     assert len(calls) == spec.turns + 1
@@ -437,11 +479,8 @@ def test_sweep_of_corners_measures_empty_stacks_until_the_last_turn(scenario, en
         master_seed=4, inner_steps=6, turns=5,
     )
     runs = spec.effective_runs
-    cell, run = np.divmod(np.arange(spec.resolution**2 * runs), runs)
-    i, j = np.divmod(cell, spec.resolution)
-    seeds = derive_seed_array(spec.master_seed, i, j, run)
     *_, (_, _, fields) = feedback.feedback_turns(
-        spec.scenario.model, spec.grid[i], spec.grid[j], spec.feedback_config(), spec.start, seeds
+        spec.scenario.model, spec.rows(), spec.feedback_config()
     )
     calls = _record_measurements(monkeypatch, engine)
     grid = run_sweep(spec)
