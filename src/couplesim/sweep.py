@@ -1,24 +1,26 @@
 """Parameter-plane scans over (p1, p2) in [0,1]^2.
 
 A sweep is one row table (SweepSpec.rows), a row (p1, p2, vc, start,
-seed) for each (cell, run) pair, row-major over (i, j, run), every row at
-the spec's vc and start. Its stacks are consecutive slices of that table,
-and each stack runs every turn of the feedback loop (or the plain
-evolution or sampling) as whole arrays. The exact engine is deterministic,
-derives no seeds (its rows hold none) and runs one run per cell (repeats
-would reproduce it) in stacks of at most STACK_CELLS rows. Monte Carlo row
-(i, j, r) samples on seed derive_seed(master_seed, i, j, r) in stacks of
-at most STACK_TRAJECTORIES trajectories. workers > 1 maps whole stacks over a
+seed) for each (cell, run) pair, row-major over (i, j, run), every row
+at the spec's vc and start. Its stacks are consecutive ranges of that
+table, each built from its range by the worker that runs it (the whole
+table is never held), and each stack runs every turn of the feedback
+loop (or the plain evolution or sampling) as whole arrays. The exact
+engine is deterministic, derives no seeds (its rows hold none) and runs
+one run per cell (repeats would reproduce it) in stacks of at most
+STACK_CELLS rows. Monte Carlo row (i, j, r) samples on seed
+derive_seed(master_seed, i, j, r) in stacks of at most
+STACK_TRAJECTORIES trajectories. workers > 1 maps whole stacks over a
 pool of that many workers while the calling thread waits: threads for
-exact stacks (numpy's stacked matmul runs them without the GIL; on worker
-processes they measured 10% slower and took 16% more CPU time), processes
-for Monte Carlo ones (the walk's many small numpy calls hold the GIL, so
-threads measured slower there); a sweep of one stack runs in the calling
-thread. Blocks are merged by position. An error in stack k cancels the
-stacks not yet started once the caller reaches result k, Ctrl-C cancels
-them at once; stacks already running are left to end. A cell's values,
-the run-ordered average of its runs, depend neither on its stack nor on
-the worker count.
+exact stacks (numpy's stacked matmul runs them without the GIL; on
+worker processes they measured 10% slower and took 16% more CPU time),
+processes for Monte Carlo ones (the walk's many small numpy calls hold
+the GIL, so threads measured slower there); a sweep of one stack runs in
+the calling thread. Blocks are merged by position. An error in stack k
+cancels the stacks not yet started once the caller reaches result k,
+Ctrl-C cancels them at once; stacks already running are left to end. A
+cell's values, the run-ordered average of its runs, depend neither on
+its stack nor on the worker count.
 A self-consistent stack measures a (cell, run) pair whose p1 and p2 both
 sit at 0 or 1, a fixed point of the feedback map, only at the final turn.
 """
@@ -39,9 +41,10 @@ from .states import (
 
 # Cells per exact stack. numpy's stacked matmul releases the GIL only on
 # stacks of more than 500 matrices, so a smaller bound would leave threads
-# (workers > 1) taking turns. A stack peaks at 3.4-3.8 KB a cell plain and
-# 5.1 KB self-consistent (tracemalloc), 1.7-2.6 MB at 512, so the bound
-# keeps a grid's memory near that of one stack per worker.
+# (workers > 1) taking turns. A stack peaks at 4.0 KB a cell plain from the
+# table, 4.5 KB plain powered (two squaring buffers) and 5.1-5.3 KB
+# self-consistent (tracemalloc), 2.0-2.7 MB at 512, so the bound keeps a
+# grid's memory near that of one stack per worker.
 STACK_CELLS = 512
 # Trajectories per Monte Carlo stack: ensemble_size of them for each
 # (cell, run) pair, and at least one pair. The walk's arrays peak at 50
@@ -127,15 +130,20 @@ class SweepSpec:
             return self.plain_steps
         return 500 if self.scenario.model is Model.AGGRESSION else 20
 
-    def rows(self) -> Rows:
-        """The grid's row table, row-major over (i, j, run), at vc and from start.
+    @property
+    def row_count(self) -> int:
+        return self.resolution**2 * self.effective_runs
 
-        Row (i, j, r) holds p1 = grid[i], p2 = grid[j] and, on the Monte
-        Carlo engine, seed derive_seed(master_seed, i, j, r); exact rows
-        hold no seed.
+    def rows(self, lo: int = 0, hi: int | None = None) -> Rows:
+        """Rows lo..hi-1 (all by default) of the grid's row table, row-major over (i, j, run).
+
+        Row (i, j, r) holds p1 = grid[i], p2 = grid[j], vc and start and,
+        on the Monte Carlo engine, seed derive_seed(master_seed, i, j, r);
+        exact rows hold no seed. A range of rows is built on its own, with
+        the bits of the same rows of the whole table.
         """
         shape = (self.resolution, self.resolution, self.effective_runs)
-        i, j, r = np.indices(shape).reshape(3, -1)
+        i, j, r = np.unravel_index(np.arange(lo, self.row_count if hi is None else hi), shape)
         seed = None if self.engine is Engine.EXACT else derive_seed_array(self.master_seed, i, j, r)
         vc, start = np.full(len(i), self.vc), np.full(len(i), encode(self.start))
         return row_table(self.grid[i], self.grid[j], vc, start, seed)
@@ -167,7 +175,7 @@ class SweepGrid:
 
 
 def _stack_fields(spec: SweepSpec, rows: Rows) -> np.ndarray:
-    """(N, F) fields of a slice of spec.rows(), one row a (cell, run) pair."""
+    """(N, F) fields of a part of spec.rows(), one row a (cell, run) pair."""
     model = spec.scenario.model
     if spec.scenario.self_consistent:
         *_, (_, _, fields) = feedback_turns(model, rows, spec.feedback_config(), _skip_settled=True)
@@ -175,21 +183,27 @@ def _stack_fields(spec: SweepSpec, rows: Rows) -> np.ndarray:
     return measure(model, rows, spec.effective_plain_steps, spec.ensemble_size)
 
 
+def _span_fields(spec: SweepSpec, lo: int, hi: int) -> np.ndarray:
+    """_stack_fields of rows lo..hi-1, built in the worker that runs them."""
+    return _stack_fields(spec, spec.rows(lo, hi))
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
     """Scan the full grid; workers > 1 spreads its stacks, never changing the output."""
     validate_count(workers, "workers", 1)
-    runs, exact, rows = spec.effective_runs, spec.engine is Engine.EXACT, spec.rows()
+    runs, exact, total = spec.effective_runs, spec.engine is Engine.EXACT, spec.row_count
     size = STACK_CELLS if exact else max(1, STACK_TRAJECTORIES // spec.ensemble_size)
-    stacks = [rows.take(slice(lo, lo + size)) for lo in range(0, len(rows.p1), size)]
-    workers = min(workers, len(stacks))
+    los = range(0, total, size)
+    his = [min(lo + size, total) for lo in los]
+    workers = min(workers, len(los))
     if workers == 1:
-        blocks = [_stack_fields(spec, stack) for stack in stacks]
+        blocks = [_span_fields(spec, lo, hi) for lo, hi in zip(los, his)]
     else:
         from concurrent import futures  # only pools pay for the import
 
         executor = futures.ThreadPoolExecutor if exact else futures.ProcessPoolExecutor
         with executor(max_workers=workers) as pool:
-            blocks = list(pool.map(_stack_fields, [spec] * len(stacks), stacks))
+            blocks = list(pool.map(_span_fields, [spec] * len(los), los, his))
     per_run = np.concatenate(blocks).reshape(spec.resolution, spec.resolution, runs, -1)
     # each cell's runs summed in run order from 0, the bits of a running total
     values = sum(per_run[:, :, run] for run in range(runs)) / runs

@@ -351,8 +351,28 @@ def test_table_measure_equals_the_evolution_at_drawn_parameters(model, start, st
     assert np.abs(got - _evolved_fields(model, p1, p2, start, steps)).max() <= TABLE_BOUND
 
 
-@pytest.mark.parametrize("steps", [0, FeedbackConfig.inner_steps, TABLE_STEPS, TABLE_STEPS + 1],
-                         ids=["0", "inner", "bound", "above"])
+# The kernels powered past TABLE_STEPS (markov.power_evolve) against the
+# step-by-step evolution: both sum the same chain in different orders, and
+# the largest field difference over every model, start and step count below
+# is 5.3e-14 (model 2 at 1000 steps; it grows with the step count).
+POWER_BOUND = 1e-12
+POWER_STEPS = (TABLE_STEPS + 1, 40, 63, 64, 100, 500, 1000)
+
+
+@pytest.mark.parametrize("start", COUPLE_STATES, ids=str)
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: str(m.value))
+def test_powered_measure_equals_the_evolution_past_the_table(model, start):
+    gen = np.random.default_rng(encode(start))
+    p1, p2 = np.r_[TABLE_P, gen.random(20)], np.r_[TABLE_Q, gen.random(20)]
+    for steps in POWER_STEPS:
+        got = measure(model, _rows(p1, p2, start), steps, 1)
+        expected = _evolved_fields(model, p1, p2, start, steps)
+        assert np.abs(got - expected).max() <= POWER_BOUND, steps
+
+
+@pytest.mark.parametrize("steps",
+                         [0, FeedbackConfig.inner_steps, TABLE_STEPS, TABLE_STEPS + 1, 500],
+                         ids=["0", "inner", "bound", "above", "500"])
 @pytest.mark.parametrize("model", list(Model), ids=lambda m: str(m.value))
 def test_each_stack_row_equals_its_cell_alone(model, steps):
     gen = np.random.default_rng(steps)
@@ -365,8 +385,8 @@ def test_each_stack_row_equals_its_cell_alone(model, steps):
     assert measure(model, rows.take(slice(0)), steps, 1).shape == (0, len(FIELD_NAMES[model]))
 
 
-@pytest.mark.parametrize("steps", [FeedbackConfig.inner_steps, TABLE_STEPS + 1],
-                         ids=["table", "stepped"])
+@pytest.mark.parametrize("steps", [FeedbackConfig.inner_steps, TABLE_STEPS + 1, 500],
+                         ids=["table", "stepped", "500"])
 @pytest.mark.parametrize("engine", list(Engine), ids=lambda engine: engine.value)
 @pytest.mark.parametrize("model", list(Model), ids=lambda m: str(m.value))
 def test_each_row_of_a_mixed_table_has_the_bits_of_its_run_alone(model, engine, steps):

@@ -30,18 +30,18 @@ PRESCOTT_NAMES = ("Prescott", "Katmai")
 
 PINNED = {
     "exact model1-plain": {
-        "combined.csv": "ca287e05c4436336d3c5ec648eb4593c8a4350eb639e86b944079da7de1cb5f7",
-        "female_violence.csv": "881f4300afd064ce3b7b4608bc0dbd9cc853d7dc062e01541ade4aafe3df9202",
+        "combined.csv": "83f2baa18916bf4f5883fe6894165a2341a64967087bf40575c06e700fff33bf",
+        "female_violence.csv": "cdf227834493cd112e2fcfdbed1ff1bdf5d3239772961bd21407bfe344ec8166",
         "female_violence.pgm": "b0e821a105592cac16ccebb4f00392947601472350d9622943fe3b7a75822482",
-        "male_violence.csv": "e282e8c193b4baeb35418581fd51702a9eb7604af1c888348f88464000adacbf",
+        "male_violence.csv": "e023524a72acdd90e857f12972928a680901ac3594fb089f71c934c3edc9837a",
         "male_violence.pgm": "a85714b9397c9f8b36250c247ad1fc4026d1b4efeccedad3a004bb32998fb1f1",
-        "normal.csv": "b0f3668d578308dc84ba62f2d70266ba204ea39021b198124eebf546c5b5e997",
+        "normal.csv": "db4d27e90155e4b42ecf4728fa95cc18ed16ec74dfc274580f78a978189f96ca",
         "normal.pgm": "b271402c90547b65203f598c06e7a1248527026d893004c2183d79ffca065634",
-        "separation.csv": "b6b1fe8d9a2e36b9e58dbb06d530b50c15c3bf373bddba3bfcf3eed392326a34",
+        "separation.csv": "e3f149ead68382d9724afebf308fdbce0035da202d59847533840c5093d94763",
         "separation.pgm": "795a4cb4ddc2b310328b2f0ee051d308f9bd5a48e1e7dfdad30c57c1e7fd2e2f",
-        "v1.csv": "7cae078e58f89485a5f091eaa93166f50e5dbb5d5ae222a1a8f0ddae3da1f6b6",
+        "v1.csv": "c2a19231835caf10c9ba218bc26e9479ec116420393839964d6c40a07f0b6bb1",
         "v1.pgm": "e4335c193d2ff0d809e5f749b50bd4b0211ee53da525b79afc0db40001bc6c2b",
-        "v2.csv": "cc052fbc4a748121b8644e0e2e594662c751424c304553c2ec5674ebf86b9ece",
+        "v2.csv": "9b69780509784e8f6ec4c8f76ef0a18ed074dbf429c19e796ff84a93e23a8807",
         "v2.pgm": "e18617bcd04344ad8743909b2ae53cb733f6dd69341049b59a5be187886e823d",
     },
     "exact model1-sc-blind": {
@@ -75,22 +75,22 @@ PINNED = {
         "v2.pgm": "c8dfa2d4897fa5cfbc4ad3987777ee0df2f5ddf5727554bad04adf963d032965",
     },
     "exact model2-plain": {
-        "combined.csv": "712296b51bd0f8b2cf640a0a4f84d0e22d70e2e54b0950b0c39ea7d627d220cc",
-        "mutual_violence.csv": "cba43670f7f59a3706ac8f4cd8bc74cc6243fc5f698fd233f23a0f370ebfe375",
+        "combined.csv": "8e8143d5782e441243e37059fa0d98d6a8ed3eb9e7c9c504dec08362b3259193",
+        "mutual_violence.csv": "a0612573c2489f463309a682bfd047a4e20bb485c622f7f24d13bbfc58ae8f02",
         "mutual_violence.pgm": "0c9d66c2bc9a3e9fa275a86e3d967feb2a79fbbe23921fd4048b61bd720e4152",
-        "normal.csv": "929afb3b0053eecfba1a6f1f1c33dad5a1a6bdd2a47b82863d91fc83a65618a2",
+        "normal.csv": "7c9b9f66cdd15c059b058941ae9bd7554969f3ee6198fe3c2dbed310e5b9dd97",
         "normal.pgm": "5d9b523a091bd06e9852f35ea52dc53ad7276566bea758cbc43b8434d7437864",
-        "recovering.csv": "8f920714413de05117271013e0d0bab25b00940056257968da49004784d8b528",
+        "recovering.csv": "f6ee1edeff9488dc941662b36601e0ea57fe00f5fc8ed63da5635223a9c84358",
         "recovering.pgm": "f6d8f0e5276e03261988a40e5d23e2b81b35dc1eb8c2dd1b0dececd310ff7914",
-        "separation.csv": "6224b6a92dd0c7f81476a02bc79039a44d813b1fba31050d58b374d7938b473a",
+        "separation.csv": "a4a790d8e08c49b80de45af4f30d6659c738542d1626bbae84c31e7a8621a02f",
         "separation.pgm": "02984679e7ce1e5a2c8873e6c0230747b0f83bb5f256f97e10d5507cb3b015c0",
-        "threshold.csv": "d32d9cff097eb8165c7fec5a7f9da2262774648fafaabec15de6095ed729d271",
+        "threshold.csv": "38570a3f00de19dbb5fb307421ee1f870e1b2a487d02e29d55127ed7c3de0dc1",
         "threshold.pgm": "14c2d1cc5262952ecaceb89c0a34f5a0eac671f5de61f08f7f256ab8b523685d",
-        "v1.csv": "7497d0b2b5ae453b65edd40fa83a7c21f69b6c417927f8e9a37c778ca044accb",
+        "v1.csv": "bcc919b9ea66c1e88ea906bedc2b2f23c861e9ce61094de388713d2de3cf31c2",
         "v1.pgm": "675b883e345eab0fd82eee44c1f1b3246941fae1e8a81383206f2769a718a27b",
-        "v2.csv": "bd622ab282976944c8b82e785e85ea3aa4ffd7887fc66d06c6886bea6670d34f",
+        "v2.csv": "2c03a81614937bbc6d8a29c6cfe2f9febd8b4c28ac3d49e3ecd66b27a33281ef",
         "v2.pgm": "50051a0c1c97910aacf5c4aa5461568d4d82c23075f2d79c8097573fe39a91b5",
-        "violence_cycle.csv": "a568d0b83dc2aad1ddd85c2713441a616d8fcd482ac8d0a85c81f510880917e5",
+        "violence_cycle.csv": "8c31c15b4d6cb6b72e3fed79ad7401ac5ccaec67f8d407edb4a32dfc0911a452",
         "violence_cycle.pgm": "ba0b77cd0722b33cb27d10fe8046da9b153fe073b3d3fcaccc1fccee9d5a92a0",
     },
     "exact model2-sc-blind": {
@@ -183,18 +183,18 @@ PINNED = {
 # own blocked order: a change from BLAS to a source-order loop moves these.
 PINNED_HASWELL = {
     "exact model1-plain": {
-        "combined.csv": "21eeddb902f35611540ea8b0d024e6a22915f99ca5e67582e245100eb7d85fbd",
-        "female_violence.csv": "881f4300afd064ce3b7b4608bc0dbd9cc853d7dc062e01541ade4aafe3df9202",
+        "combined.csv": "05ba01e5db3a17a70962dcb1d5a10d5968f6014e4d1c7d048d51a958b35d2c8f",
+        "female_violence.csv": "e8dab27635d2396fde3dc4c9741d428ea00c3ef0b70e8d6ef73c2916b5389d52",
         "female_violence.pgm": "b0e821a105592cac16ccebb4f00392947601472350d9622943fe3b7a75822482",
-        "male_violence.csv": "9cd4a62e9f4706f406db2b302d3083fa20b48225587d3c48abea80ca30f38ed9",
+        "male_violence.csv": "2c7fa0028c43b6d44343f0bdd312070f3baf38d06122fb91c9cdda6030afc935",
         "male_violence.pgm": "a85714b9397c9f8b36250c247ad1fc4026d1b4efeccedad3a004bb32998fb1f1",
-        "normal.csv": "b0f3668d578308dc84ba62f2d70266ba204ea39021b198124eebf546c5b5e997",
+        "normal.csv": "2eceb5340973ba8f67cb5cea9fc8c141aa162ae3420ef53d12e191007b88f4e6",
         "normal.pgm": "b271402c90547b65203f598c06e7a1248527026d893004c2183d79ffca065634",
-        "separation.csv": "872835230bb4286e818b947e8c9b71c2b87a78a6c46c6392eaa46190905a8df7",
+        "separation.csv": "0dc2b18174ce47ed7c1d13cdda42a02f5367985b37303d03cc5190b666067915",
         "separation.pgm": "795a4cb4ddc2b310328b2f0ee051d308f9bd5a48e1e7dfdad30c57c1e7fd2e2f",
-        "v1.csv": "c3a72ea294594776588cf56efc9ea6c03911ba16f826738a7ab6b4c6560c61ff",
+        "v1.csv": "f2a0c4aab0af19d479fefdd7c64f1101e4ac8e8a376d35dbb036c14ea5173674",
         "v1.pgm": "e4335c193d2ff0d809e5f749b50bd4b0211ee53da525b79afc0db40001bc6c2b",
-        "v2.csv": "0537930506ed6bb0cc3b0c6d36dcf37fbfb1b2da1cad165772fd9ff7c21bd3ad",
+        "v2.csv": "0cdea88b21b8cc9797296581bf57629b53c3e04bb2eafa4033caee9e26930a13",
         "v2.pgm": "e18617bcd04344ad8743909b2ae53cb733f6dd69341049b59a5be187886e823d",
     },
     "exact model1-sc-blind": {
@@ -228,22 +228,22 @@ PINNED_HASWELL = {
         "v2.pgm": "c8dfa2d4897fa5cfbc4ad3987777ee0df2f5ddf5727554bad04adf963d032965",
     },
     "exact model2-plain": {
-        "combined.csv": "591d89dac1cb41d890274144afecaf7259829a84adc60ed7399913147fba0920",
-        "mutual_violence.csv": "59e59724c29076524ed6f04109bd8a5e68aeb33a74cb57557f4509bb271215a6",
+        "combined.csv": "4672c0a8bb4806d37d720969514554f3337d8dc2957270e24743f30015dc6886",
+        "mutual_violence.csv": "644f4364514f308b30da2bfe2e439f4f09907e9c27c23b5ed3cc74df5cfae34b",
         "mutual_violence.pgm": "0c9d66c2bc9a3e9fa275a86e3d967feb2a79fbbe23921fd4048b61bd720e4152",
-        "normal.csv": "11b2ec56d3e178bee91d3cf42bc99e91e83aee415670331a4e1a30278f8793d9",
+        "normal.csv": "2d44a632025cdeff7a7ba3a8368daddb35e3ef0fece090a0ca3f8721d2f94660",
         "normal.pgm": "5d9b523a091bd06e9852f35ea52dc53ad7276566bea758cbc43b8434d7437864",
-        "recovering.csv": "ccf7cf5779436b0817c31353d2acaf2b2bf12bda40b1d765658034c1e2075107",
+        "recovering.csv": "710efe07a2015ae903438d1d8f48f15bc0232404fb91d6694d404e672555d80f",
         "recovering.pgm": "f6d8f0e5276e03261988a40e5d23e2b81b35dc1eb8c2dd1b0dececd310ff7914",
-        "separation.csv": "2ff01064994c4bb285ca4120db5b1f3c308f8268a86a03d306369f2f4b8f7a08",
+        "separation.csv": "3f55e9ad12a72c25d229e20e4fa5dc0e13f98d9eaa37c7ef804b4f3a73081c8b",
         "separation.pgm": "02984679e7ce1e5a2c8873e6c0230747b0f83bb5f256f97e10d5507cb3b015c0",
-        "threshold.csv": "3ce917d7dcb13999146bd155336146a674c11ec3a3e63459cfb8fc76189ce29f",
+        "threshold.csv": "9c16bf09b9634a3f16d23d7c1b75811cb86646203e244a606d3f9da72e4d4c3c",
         "threshold.pgm": "14c2d1cc5262952ecaceb89c0a34f5a0eac671f5de61f08f7f256ab8b523685d",
-        "v1.csv": "6a601cfae0f62f001d0982923857d2e8c30c00659ec7ff9c52a952fd1ae76a3a",
+        "v1.csv": "09f1fde2e7106f5047dbd077316c56d1465451d0e1e670e7f5a5ca4195a9ea9e",
         "v1.pgm": "675b883e345eab0fd82eee44c1f1b3246941fae1e8a81383206f2769a718a27b",
-        "v2.csv": "61cd47c6b7d000f457e10736657c1d49556f84d335ae17e44d7c55d875f29d8e",
+        "v2.csv": "38b430cf9d20352f994d7621e0ed33f7fa034057b86d0eaa7440627d02cfa6b7",
         "v2.pgm": "50051a0c1c97910aacf5c4aa5461568d4d82c23075f2d79c8097573fe39a91b5",
-        "violence_cycle.csv": "f865053dc9de06c91a9bd46ad8bf8ab3d0d0a822e797fdc3391dc39dabf0d7f3",
+        "violence_cycle.csv": "21cdbf034499fdc7b552a57bac85b6dfdad7fb289e5fb52d8df57131ac1e991c",
         "violence_cycle.pgm": "ba0b77cd0722b33cb27d10fe8046da9b153fe073b3d3fcaccc1fccee9d5a92a0",
     },
     "exact model2-sc-blind": {

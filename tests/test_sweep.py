@@ -18,6 +18,7 @@ from couplesim import (
     derive_seed,
     encode,
     estimate_distribution,
+    evolve,
     run_sweep,
     self_consistent_run,
 )
@@ -387,6 +388,42 @@ def test_spec_rows_run_row_major_over_cells_and_runs(engine):
         assert rows.seed is None  # an exact sweep derives no seed
     else:
         assert rows.seed.tolist() == [row[4] for row in expected]
+
+
+@pytest.mark.parametrize("engine", list(Engine), ids=lambda engine: engine.value)
+def test_stacks_built_from_their_ranges_make_up_the_whole_table(engine, monkeypatch):
+    monkeypatch.setattr(sweep, "STACK_CELLS", 4)  # 9 cells: stacks of 4, 4 and 1
+    monkeypatch.setattr(sweep, "STACK_TRAJECTORIES", 8192)  # 27 pairs: 13 stacks of 2 and 1
+    spec = _mc_spec(Scenario.MODEL2_SC_GENDER, engine=engine, start=(2, -1), vc=0.25)
+    stacks = []
+    original = sweep._stack_fields
+
+    def record(spec, rows):
+        stacks.append(rows)
+        return original(spec, rows)
+
+    monkeypatch.setattr(sweep, "_stack_fields", record)
+    run_sweep(spec)
+    assert len(stacks) == (3 if engine is Engine.EXACT else 14)  # 27 pairs, 2 a stack
+    whole = spec.rows()
+    for name, column in zip(whole._fields, whole):
+        if column is None:
+            assert all(getattr(rows, name) is None for rows in stacks)
+            continue
+        joined = np.concatenate([getattr(rows, name) for rows in stacks])
+        assert joined.dtype == column.dtype and joined.tobytes() == column.tobytes(), name
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_default_dominant_maps_equal_the_stepped_evolution(scenario, monkeypatch):
+    # model1-plain's 500 steps power its kernels; the stepped evolution is the oracle
+    spec = SweepSpec(scenario=scenario)
+    powered = run_sweep(spec, workers=2)
+    monkeypatch.setattr(feedback, "power_evolve", evolve)
+    stepped = run_sweep(spec, workers=2)
+    assert np.array_equal(powered.dominant_indices(), stepped.dominant_indices())
+    for name in spec.field_names:
+        assert np.abs(powered.fields[name] - stepped.fields[name]).max() <= 1e-12, name
 
 
 @pytest.mark.parametrize("scenario", [Scenario.MODEL1_PLAIN, Scenario.MODEL2_PLAIN])
